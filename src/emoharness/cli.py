@@ -97,9 +97,15 @@ def _cmd_retrieve(args) -> int:
     if config.dataset.train is None:
         raise ConfigError("dataset.train: required for retrieve")
     train = load_dataset(config.dataset.train, config.schema, config.emotion_set, config.track)
-    index = build_index([(s.id, s.text) for s in train], config.bm25)
-    k = args.k if args.k is not None else config.retrieval.k
-    hits = top_k(index, args.query, RetrievalConfig(k=k))
+    try:
+        index = build_index([(s.id, s.text) for s in train], config.bm25)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.train: {exc}") from exc
+    k, source = (args.k, "-k") if args.k is not None else (config.retrieval.k, "retrieval.k")
+    try:
+        hits = top_k(index, args.query, RetrievalConfig(k=k))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     by_id = {s.id: s for s in train}
     for rank, (doc_id, doc_score) in enumerate(hits, 1):
         print(f"{rank}\t{doc_id}\t{doc_score:.6f}\t{by_id[doc_id].text}")

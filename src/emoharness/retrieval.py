@@ -1,4 +1,18 @@
-"""Okapi BM25 index over training snippets for few-shot example retrieval."""
+"""Okapi BM25 index over training snippets for few-shot example retrieval.
+
+``build_index`` stores an inverted index in flat CSR form: one array of
+document positions holds every term's postings back to back (ascending
+within a term), a parallel array holds the term frequencies, and
+``postings`` maps each term to its ``(start, end)`` slice. A per-document
+length normaliser is precomputed with the same expression ``score`` uses.
+
+``top_k`` scores term at a time, as Lucene and Pyserini do: it tokenizes
+the query once and, for each query token in order (repeats included), adds
+that term's contribution to an accumulator over the documents in its
+postings only. The floating-point operations and their order match
+``score`` exactly, so the two agree bit for bit, and a stable sort keeps
+tied documents in corpus order.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +20,8 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,9 +72,9 @@ def tokenize(text: str) -> list[str]:
     return [t for t in tokens if t]
 
 
-@dataclass
+@dataclass(eq=False)
 class Bm25Index:
-    """Immutable term statistics for a fixed document collection."""
+    """Immutable term statistics and postings for a fixed document collection."""
 
     params: Bm25Params
     doc_ids: tuple[str, ...]
@@ -68,6 +84,10 @@ class Bm25Index:
     term_frequencies: tuple[dict[str, int], ...]
     document_frequency: dict[str, int]
     idf: dict[str, float]
+    postings: dict[str, tuple[int, int]]  # term -> slice of posting_docs/posting_freqs
+    posting_docs: np.ndarray  # document positions, ascending within each term
+    posting_freqs: np.ndarray  # float64 term frequency of each posting
+    norms: np.ndarray  # float64 k1 * (1 - b + b * len / avgdl) per document
 
     def __post_init__(self):
         self._positions = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
@@ -104,11 +124,15 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
     term_frequencies = tuple(Counter(tokenize(text)) for _, text in corpus)
     doc_lengths = tuple(sum(tf.values()) for tf in term_frequencies)
     doc_count = len(corpus)
+    if not any(doc_lengths):
+        raise ValueError("cannot build an index over a corpus with no tokens")
     avgdl = sum(doc_lengths) / doc_count
 
-    document_frequency: Counter[str] = Counter()
-    for tf in term_frequencies:
-        document_frequency.update(tf.keys())
+    positions_by_term: dict[str, list[int]] = {}
+    for position, tf in enumerate(term_frequencies):
+        for term in tf:
+            positions_by_term.setdefault(term, []).append(position)
+    document_frequency = {term: len(positions) for term, positions in positions_by_term.items()}
 
     raw_idf = {
         term: math.log((doc_count - n + 0.5) / (n + 0.5))
@@ -118,6 +142,16 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
     floor = params.idf_floor_epsilon * (sum(positive) / len(positive)) if positive else 0.0
     idf = {term: (v if v > 0 else floor) for term, v in raw_idf.items()}
 
+    postings: dict[str, tuple[int, int]] = {}
+    posting_docs: list[int] = []
+    posting_freqs: list[int] = []
+    for term, positions in positions_by_term.items():
+        postings[term] = (len(posting_docs), len(posting_docs) + len(positions))
+        posting_docs.extend(positions)
+        posting_freqs.extend(term_frequencies[p][term] for p in positions)
+    k1, b = params.k1, params.b
+    norms = [k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths]
+
     return Bm25Index(
         params=params,
         doc_ids=doc_ids,
@@ -125,8 +159,12 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
         doc_lengths=doc_lengths,
         avgdl=avgdl,
         term_frequencies=term_frequencies,
-        document_frequency=dict(document_frequency),
+        document_frequency=document_frequency,
         idf=idf,
+        postings=postings,
+        posting_docs=np.array(posting_docs, dtype=np.intp),
+        posting_freqs=np.array(posting_freqs, dtype=np.float64),
+        norms=np.array(norms, dtype=np.float64),
     )
 
 
@@ -134,7 +172,8 @@ def score(index: Bm25Index, query: str, doc_id: str) -> float:
     """Okapi BM25 score of one document against a query.
 
     Additive over query tokens (a repeated token counts twice); tokens
-    absent from the document or the vocabulary contribute 0.
+    absent from the document or the vocabulary contribute 0. This is the
+    single-document reference that ``top_k`` reproduces exactly.
     """
     position = index.position(doc_id)
     tf = index.term_frequencies[position]
@@ -150,9 +189,26 @@ def score(index: Bm25Index, query: str, doc_id: str) -> float:
 
 
 def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[str, float]]:
-    """The k best-scoring documents, descending; ties break by corpus position."""
+    """The k best-scoring documents, descending; ties break by corpus position.
+
+    Tokenizes the query once, then for each token in order (a repeated
+    token is added again) accumulates ``idf * tf * (k1 + 1) / (tf + norm)``
+    over that term's postings only; documents sharing no term keep 0. The
+    per-document sums are the same IEEE operations in the same order as
+    ``score``, so scores equal it exactly. A stable sort on the negated
+    scores keeps equal scores in corpus order.
+    """
     if config.k > index.doc_count:
         raise ValueError(f"k={config.k} exceeds indexed document count {index.doc_count}")
-    scored = [(doc_id, score(index, query, doc_id)) for doc_id in index.doc_ids]
-    order = sorted(range(index.doc_count), key=lambda i: (-scored[i][1], i))
-    return [scored[i] for i in order[: config.k]]
+    k1_plus_1 = index.params.k1 + 1.0
+    scores = np.zeros(index.doc_count)
+    for token in tokenize(query):
+        span = index.postings.get(token)
+        if span is None:
+            continue
+        start, end = span
+        docs = index.posting_docs[start:end]
+        freqs = index.posting_freqs[start:end]
+        scores[docs] += index.idf[token] * freqs * k1_plus_1 / (freqs + index.norms[docs])
+    order = np.argsort(-scores, kind="stable")[: config.k]
+    return [(index.doc_ids[i], float(scores[i])) for i in order]

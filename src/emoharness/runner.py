@@ -382,13 +382,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, seconds: dict[str, float]):
+    """Run one pipeline stage, record its monotonic duration in ``seconds``
+    and wrap any failure in a :class:`RunStageError` naming the stage."""
+    start = time.monotonic()
     try:
         yield
     except RunStageError:
         raise
     except Exception as exc:
         raise RunStageError(name, exc) from exc
+    seconds[name] = time.monotonic() - start
 
 
 def _sha256(path: Path) -> str:
@@ -431,11 +435,12 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
         mock = build_mock(config.mock_id)
 
     staging.mkdir(parents=True)
+    stage_seconds: dict[str, float] = {}
     try:
         if config.strategy in ("export_sft", "export_ebridge"):
-            counts = _execute_export(config, staging)
+            counts = _execute_export(config, staging, stage_seconds)
         else:
-            counts = _execute_run(config, mock, staging)
+            counts = _execute_run(config, mock, staging, stage_seconds)
     except RunStageError as exc:
         cause = exc.__cause__
         _write_json(
@@ -456,7 +461,12 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
         for p in sorted(staging.rglob("*"))
         if p.is_file()
     }
-    timing = {"started": started_at, "finished": finished_at, "seconds": time.monotonic() - started}
+    timing = {
+        "started": started_at,
+        "finished": finished_at,
+        "seconds": time.monotonic() - started,
+        "stages": stage_seconds,
+    }
     manifest = RunManifest(
         config=config.snapshot(),
         artifacts=artifacts,
@@ -471,25 +481,25 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
     return manifest
 
 
-def _execute_run(config: ExperimentConfig, mock, staging: Path) -> dict:
+def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: dict[str, float]) -> dict:
     emotion_set = config.emotion_set
     gold_track = TRACK_A if config.strategy == "marginalise_from_b" else config.track
     prompt_track = TRACK_B if config.strategy == "marginalise_from_b" else config.track
     template_id = "track_a" if prompt_track == TRACK_A else "track_b"
     language = display_name(config.language)
 
-    with _stage("load"):
+    with _stage("load", stage_seconds):
         snippets = load_dataset(config.dataset.test, config.schema, emotion_set, gold_track)
-    with _stage("transform"):
+    with _stage("transform", stage_seconds):
         instances = explode(snippets, emotion_set, gold_track)
 
     if config.strategy == "few_shot":
-        with _stage("retrieve"):
+        with _stage("retrieve", stage_seconds):
             train = load_dataset(config.dataset.train, config.schema, emotion_set, TRACK_A)
             train_by_id = {s.id: s for s in train}
             index = build_index([(s.id, s.text) for s in train], config.bm25)
             hits_by_snippet = {s.id: top_k(index, s.text, config.retrieval) for s in snippets}
-        with _stage("prompt"):
+        with _stage("prompt", stage_seconds):
             requests = []
             for inst in instances:
                 examples = [
@@ -501,7 +511,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path) -> dict:
                 )
                 requests.append(CompletionRequest(inst.snippet_id, inst.emotion, prompt))
     else:
-        with _stage("prompt"):
+        with _stage("prompt", stage_seconds):
             requests = [
                 CompletionRequest(
                     inst.snippet_id,
@@ -511,12 +521,12 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path) -> dict:
                 for inst in instances
             ]
 
-    with _stage("infer"):
+    with _stage("infer", stage_seconds):
         endpoint = config.endpoint if config.endpoint is not None else EndpointConfig()
         client = CompletionClient(endpoint, mock=mock, rng=random.Random(config.seed))
         completions = client.complete_all(requests)
 
-    with _stage("parse"):
+    with _stage("parse", stage_seconds):
         records = [
             PredictionRecord(
                 c.snippet_id, c.emotion, prompt_track, c.raw_text, parse_label(c.raw_text, prompt_track)
@@ -525,7 +535,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path) -> dict:
         ]
         _write_jsonl(staging / "predictions.jsonl", (r.as_dict() for r in records))
 
-    with _stage("aggregate"):
+    with _stage("aggregate", stage_seconds):
         vectors = aggregate(records, emotion_set)
         if config.strategy == "marginalise_from_b":
             vectors = [marginalise(v) for v in vectors]
@@ -534,7 +544,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path) -> dict:
             ({"snippet_id": v.snippet_id, "track": v.track, "values": v.values} for v in vectors),
         )
 
-    with _stage("score"):
+    with _stage("score", stage_seconds):
         gold = [
             LabelVector(s.id, {e: s.labels[e] for e in emotion_set}, gold_track) for s in snippets
         ]
@@ -555,19 +565,19 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path) -> dict:
     }
 
 
-def _execute_export(config: ExperimentConfig, staging: Path) -> dict:
+def _execute_export(config: ExperimentConfig, staging: Path, stage_seconds: dict[str, float]) -> dict:
     emotion_set = config.emotion_set
     sft_config = SftExportConfig.for_track(config.track)
     balance = config.track == TRACK_A and config.oversample
 
     if config.strategy == "export_sft":
-        with _stage("load"):
+        with _stage("load", stage_seconds):
             train = load_dataset(config.dataset.train, config.schema, emotion_set, config.track)
-        with _stage("transform"):
+        with _stage("transform", stage_seconds):
             instances = explode(train, emotion_set, config.track)
             if balance:
                 instances = oversample(instances, config.seed)
-        with _stage("export"):
+        with _stage("export", stage_seconds):
             summary = export_sft_dataset(instances, sft_config, staging / "sft.jsonl")
         return {
             "snippets": len(train),
@@ -577,16 +587,16 @@ def _execute_export(config: ExperimentConfig, staging: Path) -> dict:
         }
 
     eng_set = EmotionSet.for_language("eng")
-    with _stage("load"):
+    with _stage("load", stage_seconds):
         eng_train = load_dataset(config.dataset.english_train, config.schema, eng_set, config.track)
         target_train = load_dataset(config.dataset.train, config.schema, emotion_set, config.track)
-    with _stage("transform"):
+    with _stage("transform", stage_seconds):
         eng_instances = explode(eng_train, eng_set, config.track)
         target_instances = explode(target_train, emotion_set, config.track)
         if balance:
             eng_instances = oversample(eng_instances, config.seed)
             target_instances = oversample(target_instances, config.seed)
-    with _stage("export"):
+    with _stage("export", stage_seconds):
         plan = export_ebridge_plan(eng_instances, target_instances, sft_config, staging)
     return {
         "snippets": len(eng_train) + len(target_train),

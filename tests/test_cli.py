@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -162,6 +163,31 @@ class TestRetrieveCommand:
         cfg = run_config(workdir)
         assert main(["retrieve", "--query", "joy", "-k", "2", str(cfg)]) == 1
         assert "train" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "k, train_text, names",
+        [
+            pytest.param("0", None, "-k", id="k-zero"),
+            pytest.param("9", None, "-k", id="k-above-train-rows"),
+            pytest.param("2", "!!!", "dataset.train", id="train-without-tokens"),
+        ],
+    )
+    def test_retrieve_bad_input_is_an_error_not_a_traceback(
+        self, workdir, capsys, k, train_text, names
+    ):
+        if train_text is not None:
+            es = EmotionSet.for_language("eng")
+            rows = make_snippets(random.Random(2), 3, es, "A", prefix="t")
+            write_csv(workdir / "train.csv", [replace(s, text=train_text) for s in rows], es)
+        cfg = run_config(
+            workdir,
+            strategy="few_shot",
+            dataset={"test": "test.csv", "train": "train.csv"},
+        )
+        assert main(["retrieve", "--query", "joy", "-k", k, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {names}:")
+        assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

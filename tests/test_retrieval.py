@@ -40,6 +40,11 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index([], P)
 
+    def test_corpus_without_tokens_rejected(self):
+        # avgdl would be 0 and every length normaliser a division by zero.
+        with pytest.raises(ValueError, match="no tokens"):
+            build_index([("d1", "!!!"), ("d2", "-- ...")], P)
+
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(ValueError):
             build_index([("d1", "a"), ("d1", "b")], P)
@@ -166,21 +171,38 @@ class TestTopK:
         scores = [s for _, s in result]
         assert scores == sorted(scores, reverse=True)
 
-    def test_random_corpus_matches_full_sort_oracle(self):
+    @pytest.mark.parametrize(
+        "query, duplicate_texts",
+        [
+            pytest.param("alpha gamma theta", False, id="plain"),
+            pytest.param("alpha alpha gamma", False, id="repeated-token"),
+            pytest.param("alpha omega theta", False, id="out-of-vocabulary"),
+            pytest.param("!!! -- ...", False, id="punctuation-only"),
+            pytest.param("alpha gamma theta", True, id="duplicate-texts"),
+        ],
+    )
+    def test_random_corpus_matches_full_sort_oracle(self, query, duplicate_texts):
         rng = random.Random(7)
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
-        corpus = [
-            (f"d{i:03d}", " ".join(rng.choice(words) for _ in range(rng.randint(1, 12))))
-            for i in range(200)
-        ]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) for _ in range(200)]
+        if duplicate_texts:
+            texts = [texts[i % 40] for i in range(200)]  # every text five times: exact ties
+        corpus = [(f"d{i:03d}", text) for i, text in enumerate(texts)]
         index = build_index(corpus, P)
-        query = "alpha gamma theta"
         scores = ref_bm25_scores(
             [tokenize(text) for _, text in corpus], tokenize(query), P.k1, P.b, P.idf_floor_epsilon
         )
         want_ids = [corpus[i][0] for i in ref_bm25_ranking(scores, 5)]
         got_ids = [doc_id for doc_id, _ in top_k(index, query, RetrievalConfig(k=5))]
         assert got_ids == want_ids
+
+        # Exact equality, not a tolerance: a different accumulation order
+        # could reorder near-ties and change few-shot prompts.
+        full = top_k(index, query, RetrievalConfig(k=index.doc_count))
+        assert [doc_id for doc_id, _ in full] == [
+            corpus[i][0] for i in ref_bm25_ranking(scores, index.doc_count)
+        ]
+        assert all(got == score(index, query, doc_id) for doc_id, got in full)
 
     def test_describe_mentions_core_statistics(self):
         index = build_index([("d1", "red fish"), ("d2", "blue bird")], P)

@@ -243,6 +243,27 @@ class TestRunPipeline:
         assert first.artifacts == second.artifacts
         assert first.counts == second.counts
 
+    def test_manifest_times_every_stage_without_touching_hashes(self, tmp_path):
+        es = EmotionSet.for_language("eng")
+        rng = random.Random(5)
+        train_csv = write_csv(tmp_path / "train.csv", make_snippets(rng, 12, es, "A", prefix="t"), es)
+        test_csv = write_csv(tmp_path / "test.csv", make_snippets(rng, 4, es, "A"), es)
+        manifests = []
+        for name in ("run1", "run2"):
+            raw = minimal_raw(strategy="few_shot", retrieval={"k": 2}, mock="keyword")
+            raw["dataset"] = {"test": str(test_csv), "train": str(train_csv)}
+            raw["output_dir"] = str(tmp_path / name)
+            run(validate_config(raw))
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8")))
+        for manifest in manifests:
+            stages = manifest["timing"]["stages"]
+            assert set(stages) == {
+                "load", "transform", "retrieve", "prompt", "infer", "parse", "aggregate", "score"
+            }
+            assert all(seconds >= 0.0 for seconds in stages.values())
+            assert "manifest.json" not in manifest["artifacts"]
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+
     def test_few_shot_prompts_carry_k_examples(self, tmp_path):
         es = EmotionSet.for_language("eng")
         rng = random.Random(3)
