@@ -18,6 +18,7 @@ from .evaluation import (
     marginalise,
     mean_pearson_r,
 )
+from .exports import _write_json
 from .inference import PredictionRecord
 from .retrieval import RetrievalConfig, build_index, top_k
 from .runner import load_config, run
@@ -73,9 +74,7 @@ def _cmd_score(args) -> int:
         report = mean_pearson_r(gold, vectors, parse_failures=failures)
     print(report.format_table())
     if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, report.as_dict())
     return 0
 
 

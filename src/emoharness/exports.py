@@ -65,10 +65,20 @@ class EbridgePlan:
     plan_path: Path
 
 
+# Built once: ``json.dumps(..., ensure_ascii=False)`` builds a new encoder per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    with path.open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(_encode_line(row) + "\n")
 
 
 def export_sft_dataset(
@@ -97,8 +107,7 @@ def export_sft_dataset(
         for inst in instances:
             language = names.get(inst.language, display_name(inst.language))
             instruction = render_zero_shot(config.template_id, inst.text, language, inst.emotion)
-            fh.write(json.dumps({"instruction": instruction, "output": str(inst.gold)}, ensure_ascii=False))
-            fh.write("\n")
+            fh.write(_encode_line({"instruction": instruction, "output": str(inst.gold)}) + "\n")
             per_emotion[inst.emotion] = per_emotion.get(inst.emotion, 0) + 1
 
     metadata_path = out.with_suffix(".meta.json")

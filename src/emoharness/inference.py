@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import random
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +25,10 @@ log = logging.getLogger(__name__)
 
 _BACKOFF_BASE_SECONDS = 1.0
 _ASCII_DIGITS = "0123456789"
+
+# One keep-alive session per worker thread: a ``requests.Session`` is not
+# documented as safe to share between threads.
+_sessions = threading.local()
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,11 @@ def parse_label(raw_text: str, track: str) -> int | None:
 
 
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
+    session = getattr(_sessions, "session", None)
+    if session is None:
+        session = _sessions.session = requests.Session()
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        resp = session.post(url, json=payload, headers=headers, timeout=timeout)
     except requests.RequestException as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
     return resp.status_code, resp.text
@@ -176,7 +184,16 @@ class CompletionClient:
         )
 
     def complete_all(self, requests_: list[CompletionRequest]) -> list[RawCompletion]:
-        """Run requests concurrently; results come back in input order."""
+        """Complete every request; results come back in input order.
+
+        An in-process mock runs sequentially on the calling thread: it is
+        pure Python, so under the GIL threads would add dispatch cost and no
+        parallelism. Endpoint requests run on up to
+        ``config.concurrency_limit`` worker threads; the default transport
+        keeps one keep-alive connection per worker.
+        """
+        if self.mock is not None:
+            return [self.complete(r) for r in requests_]
         if not requests_:
             return []
         workers = min(self.config.concurrency_limit, len(requests_))

@@ -25,6 +25,10 @@ TEMPLATES = {"track_a": TRACK_A_TEMPLATE, "track_b": TRACK_B_TEMPLATE}
 
 _PLACEHOLDER = re.compile(r"\{(language|text|emotion)\}")
 
+# Each template split once: literal text at even positions, placeholder
+# names at odd positions.
+_TEMPLATE_PARTS = {tid: tuple(_PLACEHOLDER.split(t)) for tid, t in TEMPLATES.items()}
+
 
 def render_zero_shot(
     template_id: str,
@@ -39,14 +43,16 @@ def render_zero_shot(
     and braces inside it are never re-expanded. ``emotion`` is checked
     against ``emotion_set`` when given, else against the six known emotions.
     """
-    template = TEMPLATES.get(template_id)
-    if template is None:
+    template_parts = _TEMPLATE_PARTS.get(template_id)
+    if template_parts is None:
         raise ValueError(f"unknown template id {template_id!r}")
     allowed = emotion_set.emotions if emotion_set is not None else EMOTIONS
     if emotion not in allowed:
         raise ValidationError(f"emotion {emotion!r} not in active set {list(allowed)}")
     values = {"language": language, "text": text, "emotion": emotion}
-    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
+    parts = list(template_parts)
+    parts[1::2] = [values[name] for name in parts[1::2]]
+    return "".join(parts)
 
 
 def render_few_shot(

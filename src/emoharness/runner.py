@@ -10,7 +10,6 @@ touch the final path.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import random
@@ -43,7 +42,7 @@ from .evaluation import (
     marginalise,
     mean_pearson_r,
 )
-from .exports import SftExportConfig, export_ebridge_plan, export_sft_dataset
+from .exports import SftExportConfig, _write_json, _write_jsonl, export_ebridge_plan, export_sft_dataset
 from .inference import (
     CompletionClient,
     CompletionRequest,
@@ -401,19 +400,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def run(config: ExperimentConfig, mock=None) -> RunManifest:

@@ -2,6 +2,9 @@
 
 import json
 import logging
+import random
+import threading
+import time
 
 import pytest
 
@@ -49,6 +52,31 @@ def make_client(outcomes, **config_kwargs):
         sleep=sleeps.append,
     )
     return client, transport, sleeps
+
+
+class IndexMock:
+    """Answers with the index after the prompt's last ``#``."""
+
+    def respond(self, prompt):
+        return prompt.rsplit("#", 1)[-1]
+
+
+class IndexTransport:
+    """Thread-safe transport: answers with the prompt's index after a seeded
+    0-2 ms sleep, and records which threads sent requests."""
+
+    def __init__(self, seed, count):
+        rng = random.Random(seed)
+        self.delays = [rng.uniform(0.0, 0.002) for _ in range(count)]
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def __call__(self, url, payload, headers, timeout):
+        with self._lock:
+            self.threads.add(threading.get_ident())
+        index = payload["messages"][0]["content"].rsplit("#", 1)[-1]
+        time.sleep(self.delays[int(index)])
+        return 200, ok_body(index)
 
 
 REQ = CompletionRequest("s1", "joy", "Does this statement express joy? Answer 1 for yes and 0 for no.")
@@ -192,16 +220,40 @@ class TestCompletionClient:
         assert result.attempt_count == 1
         assert boom.calls == []
 
-    def test_complete_all_preserves_input_order(self):
-        class IndexMock:
-            def respond(self, prompt):
-                return prompt.rsplit("#", 1)[-1]
-
-        client = CompletionClient(EndpointConfig(concurrency_limit=8), mock=IndexMock())
+    @pytest.mark.parametrize("backend", ["mock", "http"])
+    def test_complete_all_preserves_input_order(self, backend):
+        config = EndpointConfig(concurrency_limit=8)
+        if backend == "mock":
+            client = CompletionClient(config, mock=IndexMock())
+        else:
+            transport = IndexTransport(seed=7, count=40)
+            client = CompletionClient(config, transport=transport)
         requests = [CompletionRequest(f"s{i}", "joy", f"prompt #{i}") for i in range(40)]
         results = client.complete_all(requests)
         assert [r.raw_text for r in results] == [str(i) for i in range(40)]
         assert [r.snippet_id for r in results] == [f"s{i}" for i in range(40)]
+        if backend == "http":
+            # Endpoint requests ran on pool workers, never on the caller.
+            assert threading.get_ident() not in transport.threads
+
+    def test_complete_all_runs_mock_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("complete_all built a thread pool for a mock")
+
+        monkeypatch.setattr("emoharness.inference.ThreadPoolExecutor", no_pool)
+        calls = []
+
+        class RecordingMock(IndexMock):
+            def respond(self, prompt):
+                calls.append((threading.get_ident(), prompt))
+                return super().respond(prompt)
+
+        client = CompletionClient(EndpointConfig(concurrency_limit=8), mock=RecordingMock())
+        requests = [CompletionRequest(f"s{i}", "joy", f"prompt #{i}") for i in range(40)]
+        results = client.complete_all(requests)
+        assert [r.raw_text for r in results] == [str(i) for i in range(40)]
+        assert [prompt for _, prompt in calls] == [r.prompt for r in requests]
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
 
     def test_complete_all_empty(self):
         client = CompletionClient(EndpointConfig(), mock=None, transport=ScriptedTransport([]))

@@ -10,6 +10,7 @@ from emoharness import (
     render_few_shot,
     render_zero_shot,
 )
+from emoharness.prompting import _PLACEHOLDER, TEMPLATES
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_prompts"
 
@@ -50,9 +51,24 @@ class TestZeroShot:
             for marker in ("{text}", "{language}", "{emotion}"):
                 assert marker not in rendered
 
-    def test_braces_in_text_stay_literal(self):
-        rendered = render_zero_shot("track_a", "I said {emotion} loudly", "English", "joy")
-        assert "Statement: I said {emotion} loudly." in rendered
+    @pytest.mark.parametrize("template", ["track_a", "track_b"])
+    @pytest.mark.parametrize(
+        "text,language",
+        [
+            ("I said {emotion} loudly", "English"),
+            ("{text} {language} {emotion}", "English"),
+            (r"\1 \g<0>", "English"),
+            ("{{x}}", "English"),
+            ("plain", "{text}"),
+        ],
+        ids=["emotion_in_text", "all_placeholders", "backreferences", "double_braces", "placeholder_language"],
+    )
+    def test_braces_in_text_stay_literal(self, template, text, language):
+        values = {"language": language, "text": text, "emotion": "joy"}
+        reference = _PLACEHOLDER.sub(lambda m: values[m.group(1)], TEMPLATES[template])
+        rendered = render_zero_shot(template, text, language, "joy")
+        assert rendered == reference
+        assert text in rendered
         assert rendered.count("joy") == 1
 
     def test_unknown_template_id(self):
