@@ -10,31 +10,30 @@ from pathlib import Path
 
 from .corpus import TRACK_A, TRACK_B, ColumnSchema, EmotionSet, load_dataset
 from .errors import ConfigError, HarnessError, ValidationError
-from .evaluation import (
-    LabelVector,
-    aggregate,
-    count_parse_failures,
-    macro_f1,
-    marginalise,
-    mean_pearson_r,
-)
+from .evaluation import aggregate, marginalise
 from .exports import _write_json
 from .inference import PredictionRecord
 from .retrieval import RetrievalConfig, build_index, top_k
-from .runner import load_config, run
+from .runner import load_config, run, score_predictions
 
 
 def _read_predictions(path: Path) -> list[PredictionRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(PredictionRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(f"{path}: line {line_no}: bad prediction record: {exc}") from exc
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    payload = json.loads(line)
+                    if not isinstance(payload, dict):
+                        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+                    records.append(PredictionRecord.from_dict(payload))
+                except (ValueError, KeyError) as exc:
+                    raise ValidationError(f"{path}: line {line_no}: bad prediction record: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read predictions: {exc}") from exc
     if not records:
         raise ValidationError(f"{path}: no prediction records")
     return records
@@ -62,16 +61,10 @@ def _cmd_score(args) -> int:
 
     emotion_set = EmotionSet.for_language(args.language)
     snippets = load_dataset(args.gold, ColumnSchema(), emotion_set, gold_track)
-    gold = [LabelVector(s.id, dict(s.labels), gold_track) for s in snippets]
-
     vectors = aggregate(records, emotion_set)
     if args.marginalise:
         vectors = [marginalise(v) for v in vectors]
-    failures = count_parse_failures(records)
-    if gold_track == TRACK_A:
-        report = macro_f1(gold, vectors, parse_failures=failures)
-    else:
-        report = mean_pearson_r(gold, vectors, parse_failures=failures)
+    report = score_predictions(snippets, vectors, records, gold_track)
     print(report.format_table())
     if args.json_out is not None:
         _write_json(args.json_out, report.as_dict())

@@ -170,14 +170,18 @@ def load_dataset(
 ) -> list[Snippet]:
     """Read an annotated CSV (UTF-8, header row) into validated snippets.
 
-    Row order is preserved. Raises :class:`SchemaError` when a mapped column
-    is absent and :class:`ValidationError` for bad labels, empty texts or
-    duplicate ids.
+    Row order is preserved. Raises :class:`SchemaError` when the file cannot
+    be opened or a mapped column is absent and :class:`ValidationError` for
+    bad labels, empty texts or duplicate ids.
     """
     if track not in TRACKS:
         raise ValueError(f"unknown track {track!r}")
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    try:
+        fh = path.open(encoding="utf-8", newline="")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot open dataset: {exc}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         required = [schema.id, schema.text] + [schema.column_for(e) for e in emotion_set]

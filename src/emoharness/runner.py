@@ -15,7 +15,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .corpus import (
     TRACKS,
     ColumnSchema,
     EmotionSet,
+    Snippet,
     display_name,
     explode,
     load_dataset,
@@ -36,6 +37,7 @@ from .corpus import (
 from .errors import ConfigError, RunStageError, ValidationError
 from .evaluation import (
     LabelVector,
+    MetricsReport,
     aggregate,
     count_parse_failures,
     macro_f1,
@@ -59,51 +61,32 @@ log = logging.getLogger(__name__)
 STRATEGIES = ("zero_shot", "few_shot", "marginalise_from_b", "export_sft", "export_ebridge")
 RUN_STRATEGIES = ("zero_shot", "few_shot", "marginalise_from_b")
 
-_TOP_KEYS = {
-    "track",
-    "language",
-    "strategy",
-    "seed",
-    "output_dir",
-    "dataset",
-    "emotions",
-    "columns",
-    "bm25",
-    "retrieval",
-    "endpoint",
-    "mock",
-    "oversample",
-}
-_DATASET_KEYS = {"train", "dev", "test", "english_train"}
-_COLUMNS_KEYS = {"id", "text", "emotions"}
-_BM25_KEYS = {"k1", "b", "idf_floor_epsilon"}
-_RETRIEVAL_KEYS = {"k"}
-_ENDPOINT_KEYS = {
-    "base_url",
-    "model_name",
-    "temperature",
-    "max_tokens",
-    "timeout",
-    "max_retries",
-    "concurrency_limit",
-    "api_key_env",
+#: ExperimentConfig attributes whose config key has another name.
+_CONFIG_KEYS = {"emotion_set": "emotions", "schema": "columns", "mock_id": "mock"}
+
+
+def _non_empty_str(value) -> bool:
+    return isinstance(value, str) and bool(value.strip())
+
+
+#: For each settings-field annotation: what a value must be, the test and the
+#: conversion. Annotations are strings: the settings modules all use
+#: ``from __future__ import annotations``.
+_CHECKS = {
+    "str": ("a non-empty string", _non_empty_str, str),
+    "Path": ("a non-empty string", _non_empty_str, Path),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float),
+    "bool": ("true/false", lambda v: isinstance(v, bool), bool),
 }
 
 
 @dataclass(frozen=True)
 class DatasetPaths:
-    train: Path | None = None
-    dev: Path | None = None
-    test: Path | None = None
+    # In name order, which is the order their checks run and report in.
     english_train: Path | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "train": str(self.train) if self.train else None,
-            "dev": str(self.dev) if self.dev else None,
-            "test": str(self.test) if self.test else None,
-            "english_train": str(self.english_train) if self.english_train else None,
-        }
+    test: Path | None = None
+    train: Path | None = None
 
 
 @dataclass
@@ -120,39 +103,27 @@ class ExperimentConfig:
     schema: ColumnSchema
     bm25: Bm25Params
     retrieval: RetrievalConfig
-    endpoint: EndpointConfig | None
-    mock_id: str | None
-    oversample: bool
+    endpoint: EndpointConfig | None = None
+    mock_id: str | None = None
+    oversample: bool = True
 
     def snapshot(self) -> dict:
-        """JSON-serializable echo of the config with defaults filled in.
+        """JSON-serializable echo of the config with defaults filled in; it
+        validates back to the same config.
 
         Contains no secret material; endpoint settings only name the API
         key's environment variable.
         """
-        return {
-            "track": self.track,
-            "language": self.language,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "output_dir": str(self.output_dir),
-            "dataset": self.dataset.as_dict(),
-            "emotions": list(self.emotion_set.emotions),
-            "columns": {
-                "id": self.schema.id,
-                "text": self.schema.text,
-                "emotions": dict(self.schema.emotions),
-            },
-            "bm25": {
-                "k1": self.bm25.k1,
-                "b": self.bm25.b,
-                "idf_floor_epsilon": self.bm25.idf_floor_epsilon,
-            },
-            "retrieval": {"k": self.retrieval.k},
-            "endpoint": self.endpoint.as_dict() if self.endpoint else None,
-            "mock": self.mock_id,
-            "oversample": self.oversample,
-        }
+        return {_CONFIG_KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """A config value as the YAML scalar, list or mapping it is read from."""
+    if isinstance(value, EmotionSet):
+        return list(value.emotions)
+    if is_dataclass(value):
+        return {key: _plain(item) for key, item in asdict(value).items()}
+    return str(value) if isinstance(value, Path) else value
 
 
 @dataclass
@@ -164,62 +135,59 @@ class RunManifest:
     output_dir: Path
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "artifacts": self.artifacts,
-            "counts": self.counts,
-            "timing": self.timing,
-        }
+        """The ``manifest.json`` payload: every field but ``output_dir``."""
+        payload = asdict(self)
+        del payload["output_dir"]
+        return payload
 
 
-def _reject_unknown(section: dict, allowed: set[str], prefix: str) -> None:
-    unknown = sorted(str(k) for k in section if k not in allowed)
-    if unknown:
-        where = f"{prefix}.{unknown[0]}" if prefix else unknown[0]
-        raise ConfigError(f"unknown config key {where!r}")
-
-
-def _as_mapping(value, path: str) -> dict:
+def _mapping(value, path: str, keys=None) -> dict:
+    """A config section as a dict (null is absent), with every key in ``keys``
+    unless ``keys`` is None."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+    unknown = sorted(str(k) for k in value if keys is not None and k not in keys)
+    if unknown:
+        where = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ConfigError(f"unknown config key {where!r}")
     return value
 
 
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
-    return value
+def _cast(value, type_: str, path: str, required: bool = False):
+    """Check one config value against a settings-field annotation (a key of
+    ``_CHECKS``, maybe with ``| None``) and return it converted.
 
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
-
-
-def _require(raw: dict, key: str, path: str):
-    if key not in raw or raw[key] is None:
+    Null is a missing key where ``required``, None where the annotation
+    allows it, and a type error elsewhere: it never stands in for a default.
+    """
+    if value is None and required:
         raise ConfigError(f"{path}: required key is missing")
-    return raw[key]
+    if value is None and type_.endswith(" | None"):
+        return None
+    expected, accepts, convert = _CHECKS[type_.removesuffix(" | None")]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return convert(value)
 
 
-def _resolve(path_str: str, base: Path) -> Path:
-    p = Path(path_str)
-    return p if p.is_absolute() else base / p
+def _section(cls, value, path: str, where: str | None = None, **given):
+    """Build the settings dataclass ``cls`` from its config mapping.
+
+    Field names are the allowed keys, each field's annotation picks its check
+    and field defaults fill absent keys; fields in ``given`` are already
+    checked. Errors from ``cls``'s own range checks are reported under
+    ``where`` (default: ``path``).
+    """
+    section = _mapping(value, path, {f.name for f in fields(cls)})
+    for f in fields(cls):
+        if f.name in section and f.name not in given:
+            given[f.name] = _cast(section[f.name], f.type, f"{path}.{f.name}")
+    try:
+        return cls(**given)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where or path}: {exc}") from exc
 
 
 def validate_config(raw: dict, base_dir: str | Path | None = None) -> ExperimentConfig:
@@ -230,32 +198,26 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected a mapping, got {type(raw).__name__}")
-    _reject_unknown(raw, _TOP_KEYS, "")
+    _mapping(raw, "", {_CONFIG_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig)})
     base = Path(base_dir) if base_dir is not None else Path(".")
 
-    track = _as_str(_require(raw, "track", "track"), "track")
+    track = _cast(raw.get("track"), "str", "track", required=True)
     if track not in TRACKS:
         raise ConfigError(f"track: expected one of {list(TRACKS)}, got {track!r}")
-    language = _as_str(_require(raw, "language", "language"), "language")
-    strategy = _as_str(_require(raw, "strategy", "strategy"), "strategy")
+    language = _cast(raw.get("language"), "str", "language", required=True)
+    strategy = _cast(raw.get("strategy"), "str", "strategy", required=True)
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {list(STRATEGIES)}, got {strategy!r}")
-    seed = _as_int(_require(raw, "seed", "seed"), "seed")
-    output_dir = _resolve(_as_str(_require(raw, "output_dir", "output_dir"), "output_dir"), base)
+    seed = _cast(raw.get("seed"), "int", "seed", required=True)
+    output_dir = base / _cast(raw.get("output_dir"), "Path", "output_dir", required=True)
+    relative = _section(DatasetPaths, raw.get("dataset"), "dataset")
+    dataset = DatasetPaths(*(p and base / p for p in astuple(relative)))
 
-    dataset_raw = _as_mapping(raw.get("dataset"), "dataset")
-    _reject_unknown(dataset_raw, _DATASET_KEYS, "dataset")
-    paths = {}
-    for key in sorted(_DATASET_KEYS):
-        if dataset_raw.get(key) is not None:
-            paths[key] = _resolve(_as_str(dataset_raw[key], f"dataset.{key}"), base)
-    dataset = DatasetPaths(**paths)
-
-    if "emotions" in raw and raw["emotions"] is not None:
+    if raw.get("emotions") is not None:
         emotions_raw = raw["emotions"]
         if not isinstance(emotions_raw, list) or not emotions_raw:
             raise ConfigError(f"emotions: expected a non-empty list, got {emotions_raw!r}")
-        emotions = tuple(_as_str(e, "emotions") for e in emotions_raw)
+        emotions = tuple(_cast(e, "str", "emotions") for e in emotions_raw)
         try:
             emotion_set = EmotionSet(language, emotions)
         except ValidationError as exc:
@@ -263,68 +225,25 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     else:
         emotion_set = EmotionSet.for_language(language)
 
-    columns_raw = _as_mapping(raw.get("columns"), "columns")
-    _reject_unknown(columns_raw, _COLUMNS_KEYS, "columns")
-    emotion_columns = _as_mapping(columns_raw.get("emotions"), "columns.emotions")
+    columns = _mapping(raw.get("columns"), "columns", {f.name for f in fields(ColumnSchema)})
+    emotion_columns = _mapping(columns.get("emotions"), "columns.emotions")
     for key, value in emotion_columns.items():
         if key not in EMOTIONS:
             raise ConfigError(f"columns.emotions.{key}: not a known emotion")
-        _as_str(value, f"columns.emotions.{key}")
-    schema = ColumnSchema(
-        id=_as_str(columns_raw.get("id", "id"), "columns.id"),
-        text=_as_str(columns_raw.get("text", "text"), "columns.text"),
-        emotions={k: v for k, v in emotion_columns.items()},
-    )
+        _cast(value, "str", f"columns.emotions.{key}")
+    schema = _section(ColumnSchema, columns, "columns", emotions=dict(emotion_columns))
 
-    bm25_raw = _as_mapping(raw.get("bm25"), "bm25")
-    _reject_unknown(bm25_raw, _BM25_KEYS, "bm25")
-    try:
-        bm25 = Bm25Params(
-            k1=_as_number(bm25_raw.get("k1", 1.5), "bm25.k1"),
-            b=_as_number(bm25_raw.get("b", 0.75), "bm25.b"),
-            idf_floor_epsilon=_as_number(
-                bm25_raw.get("idf_floor_epsilon", 0.25), "bm25.idf_floor_epsilon"
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bm25: {exc}") from exc
-
-    retrieval_raw = _as_mapping(raw.get("retrieval"), "retrieval")
-    _reject_unknown(retrieval_raw, _RETRIEVAL_KEYS, "retrieval")
-    try:
-        retrieval = RetrievalConfig(k=_as_int(retrieval_raw.get("k", 1), "retrieval.k"))
-    except ValueError as exc:
-        raise ConfigError(f"retrieval.k: {exc}") from exc
-
+    bm25 = _section(Bm25Params, raw.get("bm25"), "bm25")
+    retrieval = _section(RetrievalConfig, raw.get("retrieval"), "retrieval", where="retrieval.k")
     endpoint = None
     if raw.get("endpoint") is not None:
-        endpoint_raw = _as_mapping(raw["endpoint"], "endpoint")
-        _reject_unknown(endpoint_raw, _ENDPOINT_KEYS, "endpoint")
-        kwargs = {}
-        for key, caster in (
-            ("base_url", _as_str),
-            ("model_name", _as_str),
-            ("temperature", _as_number),
-            ("max_tokens", _as_int),
-            ("timeout", _as_number),
-            ("max_retries", _as_int),
-            ("concurrency_limit", _as_int),
-            ("api_key_env", _as_str),
-        ):
-            if key in endpoint_raw:
-                kwargs[key] = caster(endpoint_raw[key], f"endpoint.{key}")
-        try:
-            endpoint = EndpointConfig(**kwargs)
-        except ConfigError as exc:
-            raise ConfigError(f"endpoint: {exc}") from exc
+        endpoint = _section(EndpointConfig, raw["endpoint"], "endpoint")
 
-    mock_id = None
-    if raw.get("mock") is not None:
-        mock_id = _as_str(raw["mock"], "mock")
-        if mock_id not in BUILTIN_MOCKS:
-            raise ConfigError(f"mock: unknown mock {mock_id!r}; built-in: {sorted(BUILTIN_MOCKS)}")
+    mock_id = _cast(raw.get("mock"), "str | None", "mock")
+    if mock_id is not None and mock_id not in BUILTIN_MOCKS:
+        raise ConfigError(f"mock: unknown mock {mock_id!r}; built-in: {sorted(BUILTIN_MOCKS)}")
 
-    oversample_flag = _as_bool(raw.get("oversample", True), "oversample")
+    oversample_flag = _cast(raw.get("oversample", ExperimentConfig.oversample), "bool", "oversample")
 
     # Cross-field invariants.
     if endpoint is not None and mock_id is not None:
@@ -467,6 +386,17 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
     return manifest
 
 
+def score_predictions(
+    snippets: list[Snippet], vectors: list[LabelVector], records: list[PredictionRecord], gold_track: str
+) -> MetricsReport:
+    """Score aggregated prediction vectors against the gold snippets: macro F1
+    for presence gold (track A), mean Pearson r for intensity gold (track B).
+    Parse failures among ``records`` are counted in the report."""
+    gold = [LabelVector(s.id, s.labels, gold_track) for s in snippets]
+    metric = macro_f1 if gold_track == TRACK_A else mean_pearson_r
+    return metric(gold, vectors, parse_failures=count_parse_failures(records))
+
+
 def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: dict[str, float]) -> dict:
     emotion_set = config.emotion_set
     gold_track = TRACK_A if config.strategy == "marginalise_from_b" else config.track
@@ -531,14 +461,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
         )
 
     with _stage("score", stage_seconds):
-        gold = [
-            LabelVector(s.id, {e: s.labels[e] for e in emotion_set}, gold_track) for s in snippets
-        ]
-        failures = count_parse_failures(records)
-        if gold_track == TRACK_A:
-            report = macro_f1(gold, vectors, parse_failures=failures)
-        else:
-            report = mean_pearson_r(gold, vectors, parse_failures=failures)
+        report = score_predictions(snippets, vectors, records, gold_track)
         _write_json(staging / "report.json", report.as_dict())
         (staging / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
 
@@ -546,47 +469,33 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
         "snippets": len(snippets),
         "instances": len(instances),
         "requests": len(requests),
-        "parse_failures": failures,
+        "parse_failures": report.counts["parse_failures"],
         "attempts": sum(c.attempt_count for c in completions),
     }
 
 
 def _execute_export(config: ExperimentConfig, staging: Path, stage_seconds: dict[str, float]) -> dict:
-    emotion_set = config.emotion_set
+    # E-bridge trains on English first, so its English split comes first.
+    splits = [(config.dataset.train, config.emotion_set)]
+    if config.strategy == "export_ebridge":
+        splits.insert(0, (config.dataset.english_train, EmotionSet.for_language("eng")))
     sft_config = SftExportConfig.for_track(config.track)
-    balance = config.track == TRACK_A and config.oversample
 
-    if config.strategy == "export_sft":
-        with _stage("load", stage_seconds):
-            train = load_dataset(config.dataset.train, config.schema, emotion_set, config.track)
-        with _stage("transform", stage_seconds):
-            instances = explode(train, emotion_set, config.track)
-            if balance:
-                instances = oversample(instances, config.seed)
-        with _stage("export", stage_seconds):
-            summary = export_sft_dataset(instances, sft_config, staging / "sft.jsonl")
-        return {
-            "snippets": len(train),
-            "instances": summary.instance_count,
-            "requests": 0,
-            "parse_failures": 0,
-        }
-
-    eng_set = EmotionSet.for_language("eng")
     with _stage("load", stage_seconds):
-        eng_train = load_dataset(config.dataset.english_train, config.schema, eng_set, config.track)
-        target_train = load_dataset(config.dataset.train, config.schema, emotion_set, config.track)
+        tables = [load_dataset(path, config.schema, es, config.track) for path, es in splits]
     with _stage("transform", stage_seconds):
-        eng_instances = explode(eng_train, eng_set, config.track)
-        target_instances = explode(target_train, emotion_set, config.track)
-        if balance:
-            eng_instances = oversample(eng_instances, config.seed)
-            target_instances = oversample(target_instances, config.seed)
+        sets = [explode(table, es, config.track) for table, (_, es) in zip(tables, splits)]
+        if config.track == TRACK_A and config.oversample:
+            sets = [oversample(instances, config.seed) for instances in sets]
     with _stage("export", stage_seconds):
-        plan = export_ebridge_plan(eng_instances, target_instances, sft_config, staging)
+        if config.strategy == "export_sft":
+            exported = export_sft_dataset(sets[0], sft_config, staging / "sft.jsonl").instance_count
+        else:
+            plan = export_ebridge_plan(*sets, sft_config, staging)
+            exported = plan.stage1.instance_count + plan.stage2.instance_count
     return {
-        "snippets": len(eng_train) + len(target_train),
-        "instances": plan.stage1.instance_count + plan.stage2.instance_count,
+        "snippets": sum(len(table) for table in tables),
+        "instances": exported,
         "requests": 0,
         "parse_failures": 0,
     }

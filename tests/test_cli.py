@@ -23,6 +23,10 @@ def workdir(tmp_path):
     return tmp_path
 
 
+#: Marks a parameter case whose input file is deleted.
+MISSING = "missing"
+
+
 def write_yaml(path, raw):
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     return path
@@ -114,12 +118,23 @@ class TestScoreCommand:
         assert main(["score", str(gold), str(empty), "--language", "eng"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_score_corrupt_line_cites_line_number(self, workdir, capsys):
+    @pytest.mark.parametrize(
+        "bad_line, cites",
+        [
+            pytest.param("{not json", "line 26", id="not-json"),
+            pytest.param('["x"]', "line 26", id="not-an-object"),
+            pytest.param(None, "missing.jsonl", id="missing-file"),
+        ],
+    )
+    def test_score_corrupt_line_cites_line_number(self, workdir, capsys, bad_line, cites):
         gold, preds = self.gold_and_predictions(workdir)
-        bad = workdir / "bad.jsonl"
-        bad.write_text(preds.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
+        bad = workdir / ("missing.jsonl" if bad_line is None else "bad.jsonl")
+        if bad_line is not None:
+            bad.write_text(preds.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
         assert main(["score", str(gold), str(bad), "--language", "eng"]) == 1
-        assert "26" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert cites in err
+        assert "Traceback" not in err
 
 
 class TestExportSftCommand:
@@ -170,12 +185,15 @@ class TestRetrieveCommand:
             pytest.param("0", None, "-k", id="k-zero"),
             pytest.param("9", None, "-k", id="k-above-train-rows"),
             pytest.param("2", "!!!", "dataset.train", id="train-without-tokens"),
+            pytest.param("2", MISSING, "{workdir}/train.csv", id="train-csv-missing"),
         ],
     )
     def test_retrieve_bad_input_is_an_error_not_a_traceback(
         self, workdir, capsys, k, train_text, names
     ):
-        if train_text is not None:
+        if train_text is MISSING:
+            (workdir / "train.csv").unlink()
+        elif train_text is not None:
             es = EmotionSet.for_language("eng")
             rows = make_snippets(random.Random(2), 3, es, "A", prefix="t")
             write_csv(workdir / "train.csv", [replace(s, text=train_text) for s in rows], es)
@@ -186,7 +204,7 @@ class TestRetrieveCommand:
         )
         assert main(["retrieve", "--query", "joy", "-k", k, str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {names}:")
+        assert err.startswith(f"error: {names.format(workdir=workdir)}:")
         assert "Traceback" not in err
 
 

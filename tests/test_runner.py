@@ -1,5 +1,6 @@
 """Config validation strictness and end-to-end pipeline behaviour."""
 
+import copy
 import hashlib
 import json
 import random
@@ -32,6 +33,44 @@ def minimal_raw(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def endpoint_raw(**overrides):
+    raw = minimal_raw(endpoint={"base_url": "http://h/v1", "model_name": "m"}, **overrides)
+    del raw["mock"]
+    return raw
+
+
+def outcome(raw):
+    """The snapshot of a valid config, or the message of its ConfigError."""
+    try:
+        return validate_config(raw).snapshot()
+    except ConfigError as exc:
+        return str(exc)
+
+
+#: (key path set to null, the ConfigError it gives or None where null is absent)
+NULL_CASES = [
+    # null counts as absent
+    ("dataset", None),
+    ("dataset.train", None),
+    ("dataset.english_train", None),
+    ("emotions", None),
+    ("columns", None),
+    ("columns.emotions", None),
+    ("bm25", None),
+    ("retrieval", None),
+    ("endpoint", None),
+    ("mock", None),
+    # null where the key has a default is a type error
+    ("oversample", "oversample: expected true/false, got None"),
+    ("columns.id", "columns.id: expected a non-empty string, got None"),
+    ("bm25.k1", "bm25.k1: expected a number, got None"),
+    ("retrieval.k", "retrieval.k: expected an integer, got None"),
+    ("endpoint.base_url", "endpoint.base_url: expected a non-empty string, got None"),
+    # null for a required key is a missing key
+    ("seed", "seed: required key is missing"),
+]
 
 
 @pytest.fixture
@@ -151,6 +190,38 @@ class TestValidateConfig:
     def test_non_mapping_root_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(["not", "a", "mapping"])
+
+    @pytest.mark.parametrize("path, error", NULL_CASES, ids=[path for path, _ in NULL_CASES])
+    def test_null_is_absent_or_an_error(self, path, error):
+        base = endpoint_raw() if path == "mock" or path.startswith("endpoint.") else minimal_raw()
+        *parents, key = path.split(".")
+        nulled, absent = copy.deepcopy(base), copy.deepcopy(base)
+        nulled_section, absent_section = nulled, absent
+        for parent in parents:
+            nulled_section = nulled_section.setdefault(parent, {})
+            absent_section = absent_section.setdefault(parent, {})
+        nulled_section[key] = None
+        absent_section.pop(key, None)
+        assert outcome(nulled) == (outcome(absent) if error is None else error)
+
+    @pytest.mark.parametrize(
+        "make_raw",
+        [
+            pytest.param(minimal_raw, id="minimal"),
+            pytest.param(
+                lambda: minimal_raw(
+                    columns={"id": "ID", "text": "Text", "emotions": {"joy": "Joy", "fear": "Fear"}},
+                    emotions=["joy", "fear"],
+                    bm25={"k1": 1.2, "b": 0.5},
+                ),
+                id="overrides",
+            ),
+            pytest.param(endpoint_raw, id="endpoint"),
+        ],
+    )
+    def test_snapshot_is_a_fixed_point(self, make_raw):
+        snap = validate_config(make_raw()).snapshot()
+        assert validate_config(snap).snapshot() == snap
 
     def test_snapshot_never_contains_secret_values(self, monkeypatch):
         monkeypatch.setenv("EMOHARNESS_API_KEY", "sk-should-not-appear")
@@ -365,9 +436,6 @@ class TestRunPipeline:
         first = run(base_config(tmp_path, csv_path, mock="keyword", output_dir="r1"))
         snap = dict(first.config)
         snap["output_dir"] = str(tmp_path / "r2")
-        # Strip the echoed nulls that validate_config treats as absent.
-        snap["dataset"] = {k: v for k, v in snap["dataset"].items() if v}
-        snap.pop("endpoint")
         second = run(validate_config(snap))
         assert second.artifacts == first.artifacts
 
