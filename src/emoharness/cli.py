@@ -64,7 +64,10 @@ def _cmd_score(args) -> int:
     vectors = aggregate(records, emotion_set)
     if args.marginalise:
         vectors = [marginalise(v) for v in vectors]
-    report = score_predictions(snippets, vectors, records, gold_track)
+    try:
+        report = score_predictions(snippets, vectors, records, gold_track)
+    except ValueError as exc:
+        raise ValidationError(f"{args.gold}: {exc}") from exc
     print(report.format_table())
     if args.json_out is not None:
         _write_json(args.json_out, report.as_dict())

@@ -171,40 +171,39 @@ def load_dataset(
     """Read an annotated CSV (UTF-8, header row) into validated snippets.
 
     Row order is preserved. Raises :class:`SchemaError` when the file cannot
-    be opened or a mapped column is absent and :class:`ValidationError` for
-    bad labels, empty texts or duplicate ids.
+    be read as UTF-8 or a mapped column is absent and :class:`ValidationError`
+    for bad labels, empty texts or duplicate ids.
     """
     if track not in TRACKS:
         raise ValueError(f"unknown track {track!r}")
     path = Path(path)
     try:
-        fh = path.open(encoding="utf-8", newline="")
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot open dataset: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = [schema.id, schema.text] + [schema.column_for(e) for e in emotion_set]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        snippets: list[Snippet] = []
-        seen: set[str] = set()
-        for row in reader:
-            row_id = (row[schema.id] or "").strip()
-            if not row_id:
-                raise ValidationError(f"{path}: line {reader.line_num}: empty id")
-            if row_id in seen:
-                raise ValidationError(f"{path}: duplicate id {row_id!r}")
-            seen.add(row_id)
-            text = row[schema.text] or ""
-            if not text.strip():
-                raise ValidationError(f"row {row_id!r}: empty text")
-            labels = {
-                emotion: _parse_label_cell(row[schema.column_for(emotion)], track, row_id, schema.column_for(emotion))
-                for emotion in emotion_set
-            }
-            snippets.append(Snippet(row_id, text, emotion_set.language_code, labels))
+        with path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            required = [schema.id, schema.text] + [schema.column_for(e) for e in emotion_set]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+            snippets: list[Snippet] = []
+            seen: set[str] = set()
+            for row in reader:
+                row_id = (row[schema.id] or "").strip()
+                if not row_id:
+                    raise ValidationError(f"{path}: line {reader.line_num}: empty id")
+                if row_id in seen:
+                    raise ValidationError(f"{path}: duplicate id {row_id!r}")
+                seen.add(row_id)
+                text = row[schema.text] or ""
+                if not text.strip():
+                    raise ValidationError(f"row {row_id!r}: empty text")
+                labels = {
+                    e: _parse_label_cell(row[schema.column_for(e)], track, row_id, schema.column_for(e))
+                    for e in emotion_set
+                }
+                snippets.append(Snippet(row_id, text, emotion_set.language_code, labels))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read dataset: {exc}") from exc
     return snippets
 
 

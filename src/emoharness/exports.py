@@ -11,9 +11,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import TRACK_A, TRACK_B, TaskInstance, display_name
+from .corpus import TaskInstance, display_name
 from .errors import ConfigError, ValidationError
-from .prompting import render_zero_shot
+from .prompting import TEMPLATE_IDS, TEMPLATE_TRACKS, render_zero_shot
 
 #: Emitted into export metadata as-is; never interpreted by this package.
 HYPERPARAMETERS = {
@@ -28,8 +28,6 @@ HYPERPARAMETERS = {
 
 LEARNING_RATES = {"track_a": 2e-5, "track_b": 5e-5}
 
-_TEMPLATE_TRACKS = {"track_a": TRACK_A, "track_b": TRACK_B}
-
 
 @dataclass(frozen=True)
 class SftExportConfig:
@@ -39,12 +37,12 @@ class SftExportConfig:
     hyperparameters: dict
 
     def __post_init__(self):
-        if self.template_id not in _TEMPLATE_TRACKS:
+        if self.template_id not in TEMPLATE_TRACKS:
             raise ConfigError(f"unknown template id {self.template_id!r}")
 
     @classmethod
     def for_track(cls, track: str) -> "SftExportConfig":
-        template_id = "track_a" if track == TRACK_A else "track_b"
+        template_id = TEMPLATE_IDS[track]
         block = dict(HYPERPARAMETERS, learning_rate=LEARNING_RATES[template_id])
         return cls(template_id=template_id, hyperparameters=block)
 
@@ -82,10 +80,7 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 def export_sft_dataset(
-    instances: list[TaskInstance],
-    config: SftExportConfig,
-    out: str | Path,
-    language_names: dict[str, str] | None = None,
+    instances: list[TaskInstance], config: SftExportConfig, out: str | Path
 ) -> ExportSummary:
     """Write instances as instruction-tuning JSONL plus a metadata sidecar.
 
@@ -93,19 +88,18 @@ def export_sft_dataset(
     with the gold label as a decimal string. The sidecar (same stem,
     ``.meta.json``) records the hyperparameter block and instance counts.
     """
-    track = _TEMPLATE_TRACKS[config.template_id]
+    track = TEMPLATE_TRACKS[config.template_id]
     mismatched = [i for i in instances if i.track != track]
     if mismatched:
         raise ConfigError(
             f"template {config.template_id!r} expects track {track} instances; "
             f"got track {mismatched[0].track} (snippet {mismatched[0].snippet_id!r})"
         )
-    names = language_names or {}
     out = Path(out)
     per_emotion: dict[str, int] = {}
     with out.open("w", encoding="utf-8") as fh:
         for inst in instances:
-            language = names.get(inst.language, display_name(inst.language))
+            language = display_name(inst.language)
             instruction = render_zero_shot(config.template_id, inst.text, language, inst.emotion)
             fh.write(_encode_line({"instruction": instruction, "output": str(inst.gold)}) + "\n")
             per_emotion[inst.emotion] = per_emotion.get(inst.emotion, 0) + 1
@@ -129,7 +123,6 @@ def export_ebridge_plan(
     target_instances: list[TaskInstance],
     config: SftExportConfig,
     out_dir: str | Path,
-    language_names: dict[str, str] | None = None,
 ) -> EbridgePlan:
     """Write the two-stage (English, then target language) SFT datasets.
 
@@ -148,10 +141,8 @@ def export_ebridge_plan(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage1 = export_sft_dataset(english_instances, config, out_dir / "stage1_eng.jsonl", language_names)
-    stage2 = export_sft_dataset(
-        target_instances, config, out_dir / f"stage2_{target_language}.jsonl", language_names
-    )
+    stage1 = export_sft_dataset(english_instances, config, out_dir / "stage1_eng.jsonl")
+    stage2 = export_sft_dataset(target_instances, config, out_dir / f"stage2_{target_language}.jsonl")
 
     plan_path = out_dir / "plan.json"
     _write_json(

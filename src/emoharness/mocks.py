@@ -1,48 +1,21 @@
 """Deterministic stand-in models for offline end-to-end runs.
 
 Mocks receive the fully rendered prompt string, exactly like the HTTP
-endpoint would. The ones that need the query text or emotion recover
-them by matching the known template shapes; statement text that itself
-embeds a full template block would confuse that recovery, which is an
-accepted limit for test doubles.
+endpoint would. The ones that need the query text or emotion read them
+back with ``prompting.extract_query``, through patterns built from the
+templates themselves; a statement text that itself embeds a full template
+block would confuse that recovery, which is an accepted limit for test doubles.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .corpus import LABEL_RANGES, TRACK_A, TRACK_B, TaskInstance
 from .errors import ConfigError
+from .prompting import extract_query
 
 _ASCII_DIGITS = "0123456789"
-
-_A_BLOCK = re.compile(
-    r"You are detecting emotions on a statement written in (?P<language>.*?)\. "
-    r"Statement: (?P<text>.*?)\. Does this statement express (?P<emotion>\w+)\? "
-    r"Answer 1 for yes and 0 for no\.",
-    re.DOTALL,
-)
-_B_BLOCK = re.compile(
-    r"Tweet: (?P<text>.*?) Emotion (?P<emotion>\w+) Intensity class:$",
-    re.DOTALL,
-)
-
-
-def extract_query(prompt: str) -> tuple[str, str, str]:
-    """Recover (text, emotion, track) from a rendered prompt.
-
-    Few-shot prompts contain several presence blocks; the query is always
-    the final one.
-    """
-    match = _B_BLOCK.search(prompt)
-    if match and prompt.startswith("Task: Categorize the tweet"):
-        return match.group("text"), match.group("emotion"), TRACK_B
-    matches = list(_A_BLOCK.finditer(prompt))
-    if matches:
-        last = matches[-1]
-        return last.group("text"), last.group("emotion"), TRACK_A
-    raise ValueError(f"prompt does not match a known template: {prompt[:120]!r}")
 
 
 class EchoFirstDigitMock:

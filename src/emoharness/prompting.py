@@ -1,10 +1,10 @@
-"""Prompt rendering for presence queries, intensity queries, and few-shot blocks."""
+"""Prompt templates: rendering presence, intensity and few-shot prompts, and reading them back."""
 
 from __future__ import annotations
 
 import re
 
-from .corpus import EMOTIONS, EmotionSet
+from .corpus import EMOTIONS, TRACK_A, TRACK_B, EmotionSet
 from .errors import ValidationError
 
 TRACK_A_TEMPLATE = (
@@ -23,11 +23,27 @@ TRACK_B_TEMPLATE = (
 
 TEMPLATES = {"track_a": TRACK_A_TEMPLATE, "track_b": TRACK_B_TEMPLATE}
 
+#: The track each template renders prompts for: the one pairing of the two.
+TEMPLATE_TRACKS = {"track_a": TRACK_A, "track_b": TRACK_B}
+TEMPLATE_IDS = {track: tid for tid, track in TEMPLATE_TRACKS.items()}
+
 _PLACEHOLDER = re.compile(r"\{(language|text|emotion)\}")
 
 # Each template split once: literal text at even positions, placeholder
 # names at odd positions.
 _TEMPLATE_PARTS = {tid: tuple(_PLACEHOLDER.split(t)) for tid, t in TEMPLATES.items()}
+
+# Read-back patterns by track, built from the same split: literals escaped,
+# placeholders as named groups. The emotion is one word, so a text holding
+# " Emotion " still reads back whole; language and text match lazily.
+_GROUPS = {"language": r"(?P<language>.*?)", "text": r"(?P<text>.*?)", "emotion": r"(?P<emotion>\w+)"}
+_QUERY_PATTERNS = {
+    TEMPLATE_TRACKS[tid]: re.compile(
+        "".join(_GROUPS[part] if i % 2 else re.escape(part) for i, part in enumerate(parts)),
+        re.DOTALL,
+    )
+    for tid, parts in _TEMPLATE_PARTS.items()
+}
 
 
 def render_zero_shot(
@@ -53,6 +69,22 @@ def render_zero_shot(
     parts = list(template_parts)
     parts[1::2] = [values[name] for name in parts[1::2]]
     return "".join(parts)
+
+
+def extract_query(prompt: str) -> tuple[str, str, str]:
+    """Recover (text, emotion, track) from a rendered prompt.
+
+    An intensity prompt must match its whole template. Few-shot prompts
+    contain several presence blocks; the query is always the final one.
+    """
+    match = _QUERY_PATTERNS[TRACK_B].fullmatch(prompt)
+    if match:
+        return match["text"], match["emotion"], TRACK_B
+    matches = list(_QUERY_PATTERNS[TRACK_A].finditer(prompt))
+    if matches:
+        last = matches[-1]
+        return last["text"], last["emotion"], TRACK_A
+    raise ValueError(f"prompt does not match a known template: {prompt[:120]!r}")
 
 
 def render_few_shot(

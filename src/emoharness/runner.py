@@ -53,7 +53,7 @@ from .inference import (
     parse_label,
 )
 from .mocks import BUILTIN_MOCKS, build_mock
-from .prompting import render_few_shot, render_zero_shot
+from .prompting import TEMPLATE_IDS, render_few_shot, render_zero_shot
 from .retrieval import Bm25Params, RetrievalConfig, build_index, top_k
 
 log = logging.getLogger(__name__)
@@ -401,7 +401,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
     emotion_set = config.emotion_set
     gold_track = TRACK_A if config.strategy == "marginalise_from_b" else config.track
     prompt_track = TRACK_B if config.strategy == "marginalise_from_b" else config.track
-    template_id = "track_a" if prompt_track == TRACK_A else "track_b"
+    template_id = TEMPLATE_IDS[prompt_track]
     language = display_name(config.language)
 
     with _stage("load", stage_seconds):

@@ -25,6 +25,12 @@ def workdir(tmp_path):
 
 #: Marks a parameter case whose input file is deleted.
 MISSING = "missing"
+#: A text whose input file is written as Latin-1, so it is not valid UTF-8.
+NOT_UTF8 = "café"
+
+
+def write_latin1(path):
+    path.write_bytes(path.read_text(encoding="utf-8").encode("latin-1"))
 
 
 def write_yaml(path, raw):
@@ -136,6 +142,36 @@ class TestScoreCommand:
         assert cites in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "gold_rows, track, text",
+        [
+            pytest.param(0, "A", None, id="gold-header-only"),
+            pytest.param(1, "B", None, id="track-b-gold-one-row"),
+            pytest.param(1, "A", NOT_UTF8, id="gold-not-utf8"),
+        ],
+    )
+    def test_score_bad_gold_is_an_error_not_a_traceback(self, workdir, capsys, gold_rows, track, text):
+        es = EmotionSet.for_language("eng")
+        snippet = make_snippets(random.Random(5), 1, es, track)[0]
+        if text is not None:
+            snippet = replace(snippet, text=text)
+        gold = write_csv(workdir / "gold.csv", [snippet][:gold_rows], es)
+        if text is NOT_UTF8:
+            write_latin1(gold)
+        preds = workdir / "preds.jsonl"
+        preds.write_text(
+            "".join(
+                json.dumps({"snippet_id": snippet.id, "emotion": e, "track": track, "raw_text": "1", "parsed": 1})
+                + "\n"
+                for e in es.emotions
+            ),
+            encoding="utf-8",
+        )
+        assert main(["score", str(gold), str(preds), "--language", "eng"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {gold}:")
+        assert "Traceback" not in err
+
 
 class TestExportSftCommand:
     def test_export_writes_dataset(self, workdir, capsys):
@@ -186,6 +222,7 @@ class TestRetrieveCommand:
             pytest.param("9", None, "-k", id="k-above-train-rows"),
             pytest.param("2", "!!!", "dataset.train", id="train-without-tokens"),
             pytest.param("2", MISSING, "{workdir}/train.csv", id="train-csv-missing"),
+            pytest.param("2", NOT_UTF8, "{workdir}/train.csv", id="train-csv-not-utf8"),
         ],
     )
     def test_retrieve_bad_input_is_an_error_not_a_traceback(
@@ -197,6 +234,8 @@ class TestRetrieveCommand:
             es = EmotionSet.for_language("eng")
             rows = make_snippets(random.Random(2), 3, es, "A", prefix="t")
             write_csv(workdir / "train.csv", [replace(s, text=train_text) for s in rows], es)
+            if train_text is NOT_UTF8:
+                write_latin1(workdir / "train.csv")
         cfg = run_config(
             workdir,
             strategy="few_shot",

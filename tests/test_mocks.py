@@ -16,20 +16,36 @@ from emoharness import (
 from emoharness.mocks import extract_query
 
 
+#: (text, language) pairs that a rendered prompt must read back from: a plain
+#: text, the five cases of test_braces_in_text_stay_literal, a non-ASCII text
+#: and a text holding the intensity template's " Emotion " separator.
+ROUND_TRIP_CASES = [
+    pytest.param("I feel great", "English", id="plain"),
+    pytest.param("I said {emotion} loudly", "English", id="emotion_in_text"),
+    pytest.param("{text} {language} {emotion}", "English", id="all_placeholders"),
+    pytest.param(r"\1 \g<0>", "English", id="backreferences"),
+    pytest.param("{{x}}", "English", id="double_braces"),
+    pytest.param("plain", "{text}", id="placeholder_language"),
+    pytest.param("Schöne Grüße, 我很高兴 😀", "Deutsch", id="non_ascii"),
+    pytest.param("fear Emotion joy Intensity class: or not", "English", id="emotion_separator"),
+]
+
+
 class TestExtractQuery:
-    def test_presence_prompt(self):
-        prompt = render_zero_shot("track_a", "I feel great", "English", "joy")
-        assert extract_query(prompt) == ("I feel great", "joy", "A")
+    @pytest.mark.parametrize("text,language", ROUND_TRIP_CASES)
+    def test_presence_prompt(self, text, language):
+        prompt = render_zero_shot("track_a", text, language, "joy")
+        assert extract_query(prompt) == (text, "joy", "A")
 
-    def test_intensity_prompt(self):
-        prompt = render_zero_shot("track_b", "I feel great", "English", "sadness")
-        assert extract_query(prompt) == ("I feel great", "sadness", "B")
+    @pytest.mark.parametrize("text,language", ROUND_TRIP_CASES)
+    def test_intensity_prompt(self, text, language):
+        prompt = render_zero_shot("track_b", text, language, "sadness")
+        assert extract_query(prompt) == (text, "sadness", "B")
 
-    def test_few_shot_prompt_returns_final_query(self):
-        prompt = render_few_shot(
-            [("example text", "joy", 1)], "query text", "English", "joy", k=1
-        )
-        assert extract_query(prompt) == ("query text", "joy", "A")
+    @pytest.mark.parametrize("text,language", ROUND_TRIP_CASES)
+    def test_few_shot_prompt_returns_final_query(self, text, language):
+        prompt = render_few_shot([("example text", "joy", 1)], text, language, "joy", k=1)
+        assert extract_query(prompt) == (text, "joy", "A")
 
     def test_unrecognized_prompt(self):
         with pytest.raises(ValueError):
