@@ -33,8 +33,8 @@ EMOTION_SET_OVERRIDES = {
     "afr": ("anger", "disgust", "fear", "joy", "sadness"),
 }
 
-#: Default English display names used when rendering prompts; a config can
-#: override the name for any language.
+#: English display names used when rendering prompts; ``display_name`` falls
+#: back to the code itself for a language not listed here.
 LANGUAGE_NAMES = {
     "afr": "Afrikaans",
     "amh": "Amharic",

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
-from .corpus import TaskInstance, display_name
+from .corpus import EMOTIONS, TaskInstance, display_name
 from .errors import ConfigError, ValidationError
-from .prompting import TEMPLATE_IDS, TEMPLATE_TRACKS, render_zero_shot
+from .prompting import _TEMPLATE_PARTS, TEMPLATE_IDS, TEMPLATE_TRACKS, render_zero_shot
 
 #: Emitted into export metadata as-is; never interpreted by this package.
 HYPERPARAMETERS = {
@@ -67,6 +68,28 @@ class EbridgePlan:
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _escape(s: str) -> str:
+    """The body of ``s`` as a JSON string, as ``_encode_line`` writes it."""
+    return encode_basestring(s)[1:-1]
+
+
+def _check_escape_free() -> None:
+    """Fail at import if JSON escaping would change a template literal or emotion.
+
+    The SFT writer renders prompts from escaped values instead of escaping
+    each rendered prompt. Escaping works one character at a time, so the two
+    give the same bytes as long as escaping leaves the template literals and
+    the emotion names unchanged.
+    """
+    literals = {part for parts in _TEMPLATE_PARTS.values() for part in parts[::2]}
+    changed = sorted(s for s in literals.union(EMOTIONS) if _escape(s) != s)
+    if changed:
+        raise RuntimeError(f"JSON escaping changes prompt literals {changed!r}")
+
+
+_check_escape_free()
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
@@ -85,7 +108,8 @@ def export_sft_dataset(
     """Write instances as instruction-tuning JSONL plus a metadata sidecar.
 
     Each line is ``{"instruction": <rendered prompt>, "output": <gold>}``
-    with the gold label as a decimal string. The sidecar (same stem,
+    with the gold label as a decimal string, byte for byte what
+    ``_encode_line`` writes for that dict. The sidecar (same stem,
     ``.meta.json``) records the hyperparameter block and instance counts.
     """
     track = TEMPLATE_TRACKS[config.template_id]
@@ -97,11 +121,20 @@ def export_sft_dataset(
         )
     out = Path(out)
     per_emotion: dict[str, int] = {}
+    # Each text and display name is escaped once, not once per line. The two
+    # caches stay apart: a text may equal a language code such as "deu".
+    texts: dict[str, str] = {}
+    languages: dict[str, str] = {}
     with out.open("w", encoding="utf-8") as fh:
         for inst in instances:
-            language = display_name(inst.language)
-            instruction = render_zero_shot(config.template_id, inst.text, language, inst.emotion)
-            fh.write(_encode_line({"instruction": instruction, "output": str(inst.gold)}) + "\n")
+            text = texts.get(inst.text)
+            if text is None:
+                text = texts[inst.text] = _escape(inst.text)
+            language = languages.get(inst.language)
+            if language is None:
+                language = languages[inst.language] = _escape(display_name(inst.language))
+            instruction = render_zero_shot(config.template_id, text, language, inst.emotion)
+            fh.write('{"instruction": "' + instruction + '", "output": "' + str(inst.gold) + '"}\n')
             per_emotion[inst.emotion] = per_emotion.get(inst.emotion, 0) + 1
 
     metadata_path = out.with_suffix(".meta.json")

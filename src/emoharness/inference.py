@@ -105,6 +105,19 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PredictionRecord":
+        """Rebuild a record from ``as_dict`` output; a bad field raises ValueError."""
+        track = payload["track"]
+        if track not in TRACKS:
+            raise ValueError(f"unknown track {track!r}")
+        for name in ("snippet_id", "emotion", "raw_text"):
+            if not isinstance(payload[name], str):
+                raise ValueError(f"{name} must be a string, got {payload[name]!r}")
+        parsed = payload["parsed"]
+        lo, hi = LABEL_RANGES[track]
+        if parsed is not None and (type(parsed) is not int or not lo <= parsed <= hi):
+            raise ValueError(
+                f"parsed must be null or an integer {lo}-{hi} for track {track}, got {parsed!r}"
+            )
         return cls(
             snippet_id=payload["snippet_id"],
             emotion=payload["emotion"],

@@ -70,3 +70,21 @@ def make_corpus(rng: random.Random, n_docs: int, max_tokens: int = 30) -> list[t
         (f"d{i:03d}", " ".join(rng.choice(WORDS) for _ in range(rng.randint(1, max_tokens))))
         for i in range(n_docs)
     ]
+
+
+# Pieces that JSON escaping or prompt rendering could get wrong: quotes,
+# backslashes, every control character, U+2028/U+2029, characters outside the
+# BMP, braces and placeholder names, and fragments of both templates.
+ESCAPE_FRAGMENTS = (
+    ['"', "\\", '\\"', "\x7f", "\u2028", "\u2029", "\U0001f600", "\U00010348", "ß", "é"]
+    + [chr(c) for c in range(0x20)]
+    + ["{", "}", "{text}", "{language}", "{emotion}", "{{text}}", "{}"]
+    + [". Statement: ", "Tweet: ", " Emotion ", " Intensity class:", "Answer 1 for yes and 0 for no."]
+    + WORDS
+)
+
+
+def escape_text(rng: random.Random, max_fragments: int = 8) -> str:
+    """A non-empty text built from ``ESCAPE_FRAGMENTS`` and spaces."""
+    pieces = [rng.choice(ESCAPE_FRAGMENTS) for _ in range(rng.randint(1, max_fragments))]
+    return "".join(p + rng.choice(("", " ")) for p in pieces)

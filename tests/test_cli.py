@@ -173,6 +173,37 @@ class TestScoreCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("track", "C", id="track-unknown"),
+            pytest.param("track", None, id="track-null"),
+            pytest.param("snippet_id", ["a"], id="snippet-id-list"),
+            pytest.param("emotion", 3, id="emotion-not-a-string"),
+            pytest.param("raw_text", None, id="raw-text-null"),
+            pytest.param("parsed", 2, id="parsed-out-of-range"),
+            pytest.param("parsed", "1", id="parsed-a-string"),
+            pytest.param("parsed", True, id="parsed-a-bool"),
+        ],
+    )
+    def test_score_bad_record_field_cites_line_number(self, workdir, capsys, field, value):
+        es = EmotionSet.for_language("eng")
+        snippets = make_snippets(random.Random(5), 2, es, "A")
+        gold = write_csv(workdir / "gold.csv", snippets, es)
+        records = [
+            {"snippet_id": s.id, "emotion": e, "track": "A", "raw_text": "1", "parsed": 1}
+            for s in snippets
+            for e in es.emotions
+        ]
+        records[2][field] = value
+        preds = workdir / "preds.jsonl"
+        preds.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["score", str(gold), str(preds), "--language", "eng"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {preds}: line 3: bad prediction record: ")
+        assert "Traceback" not in err
+
+
 class TestExportSftCommand:
     def test_export_writes_dataset(self, workdir, capsys):
         cfg = run_config(

@@ -1,19 +1,26 @@
 """Instruction-dataset JSONL export and the two-stage fine-tuning plan."""
 
 import json
+import random
 
 import pytest
 
 from emoharness import (
+    EMOTIONS,
     HYPERPARAMETERS,
     LEARNING_RATES,
     ConfigError,
     SftExportConfig,
     TaskInstance,
     ValidationError,
+    display_name,
     export_ebridge_plan,
     export_sft_dataset,
+    render_zero_shot,
 )
+from emoharness import exports
+from emoharness.exports import _encode_line
+from datagen import escape_text
 
 
 def inst(sid, text, emotion, gold, track="A", language="eng"):
@@ -121,6 +128,69 @@ class TestExportSftDataset:
         lines = read_jsonl(out)
         assert len(lines) == 10
         assert all(set(line) == {"instruction", "output"} for line in lines)
+
+
+def escape_instances(track, count=400, seed=7):
+    """Instances whose texts and language codes stress JSON escaping.
+
+    Texts repeat across instances; some texts equal a language code, and
+    some unknown codes (shown as themselves) hold quotes or backslashes.
+    """
+    rng = random.Random(seed)
+    languages = ["eng", "deu", 'x"y', "a\\b", "q\u2028\x01"]
+    texts = [escape_text(rng) for _ in range(60)] + languages
+    hi = 1 if track == "A" else 3
+    return [
+        inst(
+            f"s{i}",
+            rng.choice(texts),
+            rng.choice(EMOTIONS),
+            rng.randint(0, hi),
+            track=track,
+            language=rng.choice(languages),
+        )
+        for i in range(count)
+    ]
+
+
+class TestExportBytes:
+    @pytest.mark.parametrize("track", ["A", "B"])
+    def test_lines_equal_the_json_encoder(self, tmp_path, track):
+        config = SftExportConfig.for_track(track)
+        instances = escape_instances(track)
+        out = tmp_path / "sft.jsonl"
+        export_sft_dataset(instances, config, out)
+        expected = "".join(
+            _encode_line({
+                "instruction": render_zero_shot(
+                    config.template_id, i.text, display_name(i.language), i.emotion
+                ),
+                "output": str(i.gold),
+            })
+            + "\n"
+            for i in instances
+        )
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_renders_through_the_module_name(self, tmp_path, monkeypatch):
+        # bench/child.py counts prompt renders by wrapping this name.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return render_zero_shot(*args)
+
+        monkeypatch.setattr(exports, "render_zero_shot", counting)
+        instances = escape_instances("A", count=50)
+        out = tmp_path / "sft.jsonl"
+        export_sft_dataset(instances, SftExportConfig.for_track("A"), out)
+        # JSON escapes newlines inside strings, so each raw one ends a line.
+        assert len(calls) == out.read_bytes().count(b"\n") == 50
+
+    def test_escaping_template_literal_fails_at_import(self, monkeypatch):
+        monkeypatch.setattr(exports, "_TEMPLATE_PARTS", {"quoted": ('Say "', "text", '" now')})
+        with pytest.raises(RuntimeError, match="JSON escaping changes"):
+            exports._check_escape_free()
 
 
 class TestExportEbridgePlan:
