@@ -70,7 +70,10 @@ def _cmd_score(args) -> int:
         raise ValidationError(f"{args.gold}: {exc}") from exc
     print(report.format_table())
     if args.json_out is not None:
-        _write_json(args.json_out, report.as_dict())
+        try:
+            _write_json(args.json_out, report.as_dict())
+        except OSError as exc:
+            raise ConfigError(f"--json-out {args.json_out}: cannot write report: {exc}") from exc
     return 0
 
 

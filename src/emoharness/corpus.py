@@ -107,7 +107,7 @@ class EmotionSet:
         return emotion in self.emotions
 
 
-@dataclass
+@dataclass(slots=True)
 class Snippet:
     """One annotated text with a label per emotion."""
 
@@ -117,7 +117,7 @@ class Snippet:
     labels: dict[str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskInstance:
     """One (text, emotion) classification instance with its gold target."""
 
@@ -170,6 +170,8 @@ def load_dataset(
 ) -> list[Snippet]:
     """Read an annotated CSV (UTF-8, header row) into validated snippets.
 
+    A leading byte order mark, as spreadsheet exports write, is skipped.
+
     Row order is preserved. Raises :class:`SchemaError` when the file cannot
     be read as UTF-8 or a mapped column is absent and :class:`ValidationError`
     for bad labels, empty texts or duplicate ids.
@@ -178,7 +180,7 @@ def load_dataset(
         raise ValueError(f"unknown track {track!r}")
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             required = [schema.id, schema.text] + [schema.column_for(e) for e in emotion_set]

@@ -19,7 +19,7 @@ MACRO_F1 = "macro_f1"
 MEAN_PEARSON_R = "mean_pearson_r"
 
 
-@dataclass
+@dataclass(slots=True)
 class LabelVector:
     """Per-snippet emotion labels, one value per emotion in the active set."""
 

@@ -13,8 +13,10 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from collections import deque
+from collections.abc import Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
 
 import requests
 
@@ -25,6 +27,10 @@ log = logging.getLogger(__name__)
 
 _BACKOFF_BASE_SECONDS = 1.0
 _ASCII_DIGITS = "0123456789"
+# Endpoint requests in flight per worker: enough that a worker finding its
+# next request never waits on the caller, few enough that the caller never
+# holds more than a handful of rendered prompts per worker.
+_WINDOW_PER_WORKER = 4
 
 # One keep-alive session per worker thread: a ``requests.Session`` is not
 # documented as safe to share between threads.
@@ -62,24 +68,23 @@ class EndpointConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
     snippet_id: str
     emotion: str
     prompt: str
 
 
-@dataclass
+@dataclass(slots=True)
 class RawCompletion:
     snippet_id: str
     emotion: str
-    prompt: str
     raw_text: str
     latency: float
     attempt_count: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionRecord:
     snippet_id: str
     emotion: str
@@ -105,7 +110,10 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PredictionRecord":
-        """Rebuild a record from ``as_dict`` output; a bad field raises ValueError."""
+        """Rebuild a record from ``as_dict`` output; a bad or missing field raises ValueError."""
+        for f in fields(cls):
+            if f.name not in payload:
+                raise ValueError(f"missing key {f.name!r}")
         track = payload["track"]
         if track not in TRACKS:
             raise ValueError(f"unknown track {track!r}")
@@ -183,28 +191,42 @@ class CompletionClient:
         return RawCompletion(
             snippet_id=request.snippet_id,
             emotion=request.emotion,
-            prompt=request.prompt,
             raw_text=raw_text,
             latency=time.monotonic() - start,
             attempt_count=attempts,
         )
 
-    def complete_all(self, requests_: list[CompletionRequest]) -> list[RawCompletion]:
+    def complete_all(self, requests_: Iterable[CompletionRequest]) -> list[RawCompletion]:
         """Complete every request; results come back in input order.
 
-        An in-process mock runs sequentially on the calling thread: it is
-        pure Python, so under the GIL threads would add dispatch cost and no
-        parallelism. Endpoint requests run on up to
-        ``config.concurrency_limit`` worker threads; the default transport
-        keeps one keep-alive connection per worker.
+        ``requests_`` may be any iterable, such as a generator that renders
+        each prompt on demand; it is drawn one request at a time and never
+        held whole. An in-process mock runs sequentially on the calling
+        thread: it is pure Python, so under the GIL threads would add
+        dispatch cost and no parallelism. Endpoint requests run on up to
+        ``config.concurrency_limit`` worker threads, with at most
+        ``4 * concurrency_limit`` requests drawn and not yet finished; the
+        default transport keeps one keep-alive connection per worker. If a
+        request fails, the first failure in input order is raised and the
+        requests still queued are cancelled.
         """
         if self.mock is not None:
             return [self.complete(r) for r in requests_]
-        if not requests_:
-            return []
-        workers = min(self.config.concurrency_limit, len(requests_))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.complete, requests_))
+        window = _WINDOW_PER_WORKER * self.config.concurrency_limit
+        results: list[RawCompletion] = []
+        pending: deque[Future] = deque()
+        with ThreadPoolExecutor(max_workers=self.config.concurrency_limit) as pool:
+            try:
+                for request in requests_:
+                    pending.append(pool.submit(self.complete, request))
+                    if len(pending) == window:
+                        results.append(pending.popleft().result())
+                while pending:
+                    results.append(pending.popleft().result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+        return results
 
     def _complete_http(self, prompt: str) -> tuple[str, int]:
         url = self.config.base_url.rstrip("/") + "/chat/completions"

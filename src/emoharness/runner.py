@@ -339,7 +339,10 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
     if mock is None and config.mock_id is not None:
         mock = build_mock(config.mock_id)
 
-    staging.mkdir(parents=True)
+    try:
+        staging.mkdir(parents=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {staging}: {exc}") from exc
     stage_seconds: dict[str, float] = {}
     try:
         if config.strategy in ("export_sft", "export_ebridge"):
@@ -415,32 +418,33 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
             train_by_id = {s.id: s for s in train}
             index = build_index([(s.id, s.text) for s in train], config.bm25)
             hits_by_snippet = {s.id: top_k(index, s.text, config.retrieval) for s in snippets}
-        with _stage("prompt", stage_seconds):
-            requests = []
-            for inst in instances:
-                examples = [
-                    (train_by_id[doc_id].text, inst.emotion, train_by_id[doc_id].labels[inst.emotion])
-                    for doc_id, _ in hits_by_snippet[inst.snippet_id]
-                ]
-                prompt = render_few_shot(
-                    examples, inst.text, language, inst.emotion, config.retrieval.k, emotion_set
-                )
-                requests.append(CompletionRequest(inst.snippet_id, inst.emotion, prompt))
-    else:
-        with _stage("prompt", stage_seconds):
-            requests = [
-                CompletionRequest(
-                    inst.snippet_id,
-                    inst.emotion,
-                    render_zero_shot(template_id, inst.text, language, inst.emotion, emotion_set),
-                )
-                for inst in instances
-            ]
 
+        def render(inst):
+            examples = [
+                (train_by_id[doc_id].text, inst.emotion, train_by_id[doc_id].labels[inst.emotion])
+                for doc_id, _ in hits_by_snippet[inst.snippet_id]
+            ]
+            return render_few_shot(
+                examples, inst.text, language, inst.emotion, config.retrieval.k, emotion_set
+            )
+    else:
+        def render(inst):
+            return render_zero_shot(template_id, inst.text, language, inst.emotion, emotion_set)
+
+    # Each prompt is rendered as the client draws its request and is dropped
+    # once sent, so rendering is timed in ``infer`` and no stage holds every
+    # prompt at once.
     with _stage("infer", stage_seconds):
         endpoint = config.endpoint if config.endpoint is not None else EndpointConfig()
         client = CompletionClient(endpoint, mock=mock, rng=random.Random(config.seed))
-        completions = client.complete_all(requests)
+        completions = client.complete_all(
+            CompletionRequest(inst.snippet_id, inst.emotion, render(inst)) for inst in instances
+        )
+    # Later stages read neither the instances nor, once parsed, the
+    # completions: dropping them keeps the records from stacking on top.
+    counts = {"snippets": len(snippets), "instances": len(instances), "requests": len(completions)}
+    attempts = sum(c.attempt_count for c in completions)
+    del instances
 
     with _stage("parse", stage_seconds):
         records = [
@@ -449,6 +453,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
             )
             for c in completions
         ]
+        del completions
         _write_jsonl(staging / "predictions.jsonl", (r.as_dict() for r in records))
 
     with _stage("aggregate", stage_seconds):
@@ -465,13 +470,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
         _write_json(staging / "report.json", report.as_dict())
         (staging / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
 
-    return {
-        "snippets": len(snippets),
-        "instances": len(instances),
-        "requests": len(requests),
-        "parse_failures": report.counts["parse_failures"],
-        "attempts": sum(c.attempt_count for c in completions),
-    }
+    return {**counts, "parse_failures": report.counts["parse_failures"], "attempts": attempts}
 
 
 def _execute_export(config: ExperimentConfig, staging: Path, stage_seconds: dict[str, float]) -> dict:

@@ -71,6 +71,14 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_output_dir_under_a_file_is_an_error(self, workdir, capsys):
+        (workdir / "afile").write_text("not a directory\n", encoding="utf-8")
+        cfg = run_config(workdir, output_dir="afile/out")
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output_dir: cannot create {workdir / 'afile' / 'out.partial'}: ")
+        assert "Traceback" not in err
+
 
 class TestScoreCommand:
     def gold_and_predictions(self, workdir):
@@ -116,6 +124,25 @@ class TestScoreCommand:
         out = capsys.readouterr().out
         assert "macro_f1" in out
         assert "1.000" in out
+
+    def test_score_unwritable_json_out_is_an_error(self, workdir, capsys):
+        gold, preds = self.gold_and_predictions(workdir)
+        json_out = workdir / "absent_dir" / "r.json"
+        assert main(["score", str(gold), str(preds), "--language", "eng", "--json-out", str(json_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --json-out {json_out}: cannot write report: ")
+        assert "Traceback" not in err
+
+    def test_score_missing_record_key_names_it(self, workdir, capsys):
+        gold, preds = self.gold_and_predictions(workdir)
+        lines = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[2])
+        del record["parsed"]
+        lines[2] = json.dumps(record) + "\n"
+        bad = workdir / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(["score", str(gold), str(bad), "--language", "eng"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: bad prediction record: missing key 'parsed'\n"
 
     def test_score_empty_predictions_file(self, workdir, capsys):
         gold, _ = self.gold_and_predictions(workdir)

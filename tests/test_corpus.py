@@ -105,6 +105,20 @@ class TestLoadDataset:
         (snippet,) = load_dataset(path, ColumnSchema(), es, "A")
         assert snippet.text == "Hello, world, again"
 
+    def test_byte_order_mark_and_crlf_lines_load(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts with a BOM and ends lines in CRLF.
+        es = EmotionSet.for_language("eng")
+        path = tmp_path / "d.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbfid,text,anger,fear,joy,sadness,surprise\r\n"
+            b'r1,"Gr\xc3\xbc\xc3\x9fe,\r\nbis bald",0,0,1,0,0\r\n'
+            b"r2,plain,1,0,0,0,0\r\n"
+        )
+        loaded = load_dataset(path, ColumnSchema(), es, "A")
+        assert [s.id for s in loaded] == ["r1", "r2"]
+        assert loaded[0].text == "Grüße,\r\nbis bald"
+        assert loaded[0].labels["joy"] == 1 and loaded[1].labels["anger"] == 1
+
     def test_missing_column_names_it(self, tmp_path):
         es = EmotionSet.for_language("eng")
         path = write_rows(

@@ -3,8 +3,10 @@
 import json
 import logging
 import random
+import sys
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +17,7 @@ from emoharness import (
     EndpointConfig,
     PredictionRecord,
     ProtocolError,
+    RawCompletion,
     TransportError,
     parse_label,
 )
@@ -77,6 +80,33 @@ class IndexTransport:
         index = payload["messages"][0]["content"].rsplit("#", 1)[-1]
         time.sleep(self.delays[int(index)])
         return 200, ok_body(index)
+
+
+class DrawCounter:
+    """Wraps a transport and hands out requests from a generator, counting
+    the requests drawn and not yet answered by the transport."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.outstanding = 0
+        self.most_outstanding = 0
+        self.last_drawn = -1
+        self._lock = threading.Lock()
+
+    def requests(self, count):
+        for i in range(count):
+            with self._lock:
+                self.outstanding += 1
+                self.most_outstanding = max(self.most_outstanding, self.outstanding)
+                self.last_drawn = i
+            yield CompletionRequest(f"s{i}", "joy", f"prompt #{i}")
+
+    def __call__(self, url, payload, headers, timeout):
+        try:
+            return self.transport(url, payload, headers, timeout)
+        finally:
+            with self._lock:
+                self.outstanding -= 1
 
 
 REQ = CompletionRequest("s1", "joy", "Does this statement express joy? Answer 1 for yes and 0 for no.")
@@ -255,9 +285,72 @@ class TestCompletionClient:
         assert [prompt for _, prompt in calls] == [r.prompt for r in requests]
         assert {ident for ident, _ in calls} == {threading.get_ident()}
 
+    def test_complete_all_draws_mock_requests_one_at_a_time(self):
+        events = []
+
+        class LoggingMock(IndexMock):
+            def respond(self, prompt):
+                events.append(("respond", prompt))
+                return super().respond(prompt)
+
+        def drawn():
+            for i in range(5):
+                events.append(("draw", f"prompt #{i}"))
+                yield CompletionRequest(f"s{i}", "joy", f"prompt #{i}")
+
+        client = CompletionClient(EndpointConfig(), mock=LoggingMock())
+        results = client.complete_all(drawn())
+        assert [r.raw_text for r in results] == [str(i) for i in range(5)]
+        assert events == [(kind, f"prompt #{i}") for i in range(5) for kind in ("draw", "respond")]
+
+    @pytest.mark.parametrize("concurrency_limit", [1, 2, 8])
+    def test_complete_all_bounds_http_requests_in_flight(self, concurrency_limit):
+        # Eight workers on fewer cores and a short switch interval stress the
+        # hand-off between the drawing caller and the workers.
+        count = 200
+        counter = DrawCounter(IndexTransport(seed=concurrency_limit, count=count))
+        client = CompletionClient(EndpointConfig(concurrency_limit=concurrency_limit), transport=counter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = client.complete_all(counter.requests(count))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.raw_text for r in results] == [str(i) for i in range(count)]
+        assert counter.outstanding == 0
+        assert counter.most_outstanding <= 4 * concurrency_limit
+
+    def test_complete_all_raises_first_failure_in_request_order(self):
+        # Request 10 fails slowly with 404 and request 11 fails at once with
+        # 400: the caller still sees request 10's failure.
+        failing = 10
+
+        def transport(url, payload, headers, timeout):
+            index = int(payload["messages"][0]["content"].rsplit("#", 1)[-1])
+            if index == failing:
+                time.sleep(0.02)
+                return 404, "missing"
+            if index == failing + 1:
+                return 400, "bad request"
+            return 200, ok_body(str(index))
+
+        counter = DrawCounter(transport)
+        client = CompletionClient(EndpointConfig(concurrency_limit=2), transport=counter)
+        with pytest.raises(TransportError) as excinfo:
+            client.complete_all(counter.requests(100))
+        assert excinfo.value.status == 404
+        assert failing < counter.last_drawn <= failing + 4 * 2
+
     def test_complete_all_empty(self):
-        client = CompletionClient(EndpointConfig(), mock=None, transport=ScriptedTransport([]))
-        assert client.complete_all([]) == []
+        for mock in (None, IndexMock()):
+            client = CompletionClient(EndpointConfig(), mock=mock, transport=ScriptedTransport([]))
+            assert client.complete_all([]) == []
+            assert client.complete_all(r for r in ()) == []
+
+    def test_completion_keeps_no_prompt(self):
+        completion = CompletionClient(EndpointConfig(), mock=IndexMock()).complete(REQ)
+        assert "prompt" not in {f.name for f in fields(RawCompletion)}
+        assert not hasattr(completion, "__dict__")
 
 
 class TestEndpointConfig:
