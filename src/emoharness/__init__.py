@@ -43,9 +43,6 @@ from .evaluation import (
 from .exports import (
     HYPERPARAMETERS,
     LEARNING_RATES,
-    EbridgePlan,
-    ExportSummary,
-    SftExportConfig,
     export_ebridge_plan,
     export_sft_dataset,
 )
@@ -109,9 +106,6 @@ __all__ = [
     "mean_pearson_r",
     "HYPERPARAMETERS",
     "LEARNING_RATES",
-    "EbridgePlan",
-    "ExportSummary",
-    "SftExportConfig",
     "export_ebridge_plan",
     "export_sft_dataset",
     "CompletionClient",

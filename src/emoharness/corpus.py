@@ -220,10 +220,10 @@ def validate_snippets(snippets: list[Snippet], emotion_set: EmotionSet, track: s
                 f"do not match emotion set {list(emotion_set)}"
             )
         for emotion, label in snippet.labels.items():
-            if not lo <= label <= hi:
+            if type(label) is not int or not lo <= label <= hi:
                 raise ValidationError(
-                    f"snippet {snippet.id!r}: {emotion} label {label} outside "
-                    f"track {track} range [{lo}, {hi}]"
+                    f"snippet {snippet.id!r}: {emotion} label {label!r} is not an "
+                    f"integer in track {track} range [{lo}, {hi}]"
                 )
 
 

@@ -8,13 +8,12 @@ training hyperparameters verbatim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from .corpus import EMOTIONS, TaskInstance, display_name
 from .errors import ConfigError, ValidationError
-from .prompting import _TEMPLATE_PARTS, TEMPLATE_IDS, TEMPLATE_TRACKS, render_zero_shot
+from .prompting import _TEMPLATE_PARTS, TEMPLATE_IDS, render_zero_shot
 
 #: Emitted into export metadata as-is; never interpreted by this package.
 HYPERPARAMETERS = {
@@ -28,40 +27,6 @@ HYPERPARAMETERS = {
 }
 
 LEARNING_RATES = {"track_a": 2e-5, "track_b": 5e-5}
-
-
-@dataclass(frozen=True)
-class SftExportConfig:
-    """Template choice plus the hyperparameter block for the sidecar file."""
-
-    template_id: str
-    hyperparameters: dict
-
-    def __post_init__(self):
-        if self.template_id not in TEMPLATE_TRACKS:
-            raise ConfigError(f"unknown template id {self.template_id!r}")
-
-    @classmethod
-    def for_track(cls, track: str) -> "SftExportConfig":
-        template_id = TEMPLATE_IDS[track]
-        block = dict(HYPERPARAMETERS, learning_rate=LEARNING_RATES[template_id])
-        return cls(template_id=template_id, hyperparameters=block)
-
-
-@dataclass
-class ExportSummary:
-    dataset_path: Path
-    metadata_path: Path
-    instance_count: int
-
-
-@dataclass
-class EbridgePlan:
-    """Two-stage fine-tuning plan: English first, then the target language."""
-
-    stage1: ExportSummary
-    stage2: ExportSummary
-    plan_path: Path
 
 
 # Built once: ``json.dumps(..., ensure_ascii=False)`` builds a new encoder per call.
@@ -102,21 +67,22 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(_encode_line(row) + "\n")
 
 
-def export_sft_dataset(
-    instances: list[TaskInstance], config: SftExportConfig, out: str | Path
-) -> ExportSummary:
+def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Path) -> None:
     """Write instances as instruction-tuning JSONL plus a metadata sidecar.
 
-    Each line is ``{"instruction": <rendered prompt>, "output": <gold>}``
-    with the gold label as a decimal string, byte for byte what
-    ``_encode_line`` writes for that dict. The sidecar (same stem,
-    ``.meta.json``) records the hyperparameter block and instance counts.
+    ``track`` picks the template and the learning rate. Each line is
+    ``{"instruction": <rendered prompt>, "output": <gold>}`` with the gold
+    label as a decimal string, byte for byte what ``_encode_line`` writes for
+    that dict. The sidecar (same stem, ``.meta.json``) records the
+    hyperparameter block and instance counts.
     """
-    track = TEMPLATE_TRACKS[config.template_id]
+    template_id = TEMPLATE_IDS.get(track)
+    if template_id is None:
+        raise ConfigError(f"unknown track {track!r}; expected one of {sorted(TEMPLATE_IDS)}")
     mismatched = [i for i in instances if i.track != track]
     if mismatched:
         raise ConfigError(
-            f"template {config.template_id!r} expects track {track} instances; "
+            f"template {template_id!r} expects track {track} instances; "
             f"got track {mismatched[0].track} (snippet {mismatched[0].snippet_id!r})"
         )
     out = Path(out)
@@ -133,30 +99,28 @@ def export_sft_dataset(
             language = languages.get(inst.language)
             if language is None:
                 language = languages[inst.language] = _escape(display_name(inst.language))
-            instruction = render_zero_shot(config.template_id, text, language, inst.emotion)
+            instruction = render_zero_shot(template_id, text, language, inst.emotion)
             fh.write('{"instruction": "' + instruction + '", "output": "' + str(inst.gold) + '"}\n')
             per_emotion[inst.emotion] = per_emotion.get(inst.emotion, 0) + 1
 
-    metadata_path = out.with_suffix(".meta.json")
     _write_json(
-        metadata_path,
+        out.with_suffix(".meta.json"),
         {
-            "template_id": config.template_id,
-            "hyperparameters": config.hyperparameters,
+            "template_id": template_id,
+            "hyperparameters": dict(HYPERPARAMETERS, learning_rate=LEARNING_RATES[template_id]),
             "instances": len(instances),
             "per_emotion": per_emotion,
             "languages": sorted({i.language for i in instances}),
         },
     )
-    return ExportSummary(out, metadata_path, len(instances))
 
 
 def export_ebridge_plan(
     english_instances: list[TaskInstance],
     target_instances: list[TaskInstance],
-    config: SftExportConfig,
+    track: str,
     out_dir: str | Path,
-) -> EbridgePlan:
+) -> None:
     """Write the two-stage (English, then target language) SFT datasets.
 
     Stage 1 must be entirely English; stage 2 must be a single non-English
@@ -174,25 +138,18 @@ def export_ebridge_plan(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage1 = export_sft_dataset(english_instances, config, out_dir / "stage1_eng.jsonl")
-    stage2 = export_sft_dataset(target_instances, config, out_dir / f"stage2_{target_language}.jsonl")
-
-    plan_path = out_dir / "plan.json"
+    stages = []
+    stage_sets = ((1, "eng", english_instances), (2, target_language, target_instances))
+    for number, language, instances in stage_sets:
+        dataset = out_dir / f"stage{number}_{language}.jsonl"
+        export_sft_dataset(instances, track, dataset)
+        stages.append({
+            "stage": number,
+            "language": language,
+            "dataset": dataset.name,
+            "metadata": dataset.with_suffix(".meta.json").name,
+            "instances": len(instances),
+        })
     _write_json(
-        plan_path,
-        {
-            "kind": "staged_sft",
-            "template_id": config.template_id,
-            "stages": [
-                {
-                    "stage": number,
-                    "language": language,
-                    "dataset": summary.dataset_path.name,
-                    "metadata": summary.metadata_path.name,
-                    "instances": summary.instance_count,
-                }
-                for number, language, summary in ((1, "eng", stage1), (2, target_language, stage2))
-            ],
-        },
+        out_dir / "plan.json", {"kind": "staged_sft", "template_id": TEMPLATE_IDS[track], "stages": stages}
     )
-    return EbridgePlan(stage1, stage2, plan_path)

@@ -110,7 +110,7 @@ def render_few_shot(
             raise ValidationError(
                 f"example is labelled for {example_emotion!r}, not the queried {emotion!r}"
             )
-        if gold not in (0, 1):
+        if type(gold) is not int or gold not in (0, 1):
             raise ValidationError(f"example gold {gold!r} is not a presence label")
         rendered = render_zero_shot("track_a", example_text, language, example_emotion, emotion_set)
         blocks.append(f"{rendered}\nAnswer: {gold}")

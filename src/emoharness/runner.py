@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import random
 import time
@@ -44,7 +45,7 @@ from .evaluation import (
     marginalise,
     mean_pearson_r,
 )
-from .exports import SftExportConfig, _write_json, _write_jsonl, export_ebridge_plan, export_sft_dataset
+from .exports import _write_json, _write_jsonl, export_ebridge_plan, export_sft_dataset
 from .inference import (
     CompletionClient,
     CompletionRequest,
@@ -69,6 +70,13 @@ def _non_empty_str(value) -> bool:
     return isinstance(value, str) and bool(value.strip())
 
 
+def _finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 #: For each settings-field annotation: what a value must be, the test and the
 #: conversion. Annotations are strings: the settings modules all use
 #: ``from __future__ import annotations``.
@@ -76,7 +84,7 @@ _CHECKS = {
     "str": ("a non-empty string", _non_empty_str, str),
     "Path": ("a non-empty string", _non_empty_str, Path),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float),
+    "float": ("a finite number", _finite_number, float),
     "bool": ("true/false", lambda v: isinstance(v, bool), bool),
 }
 
@@ -478,7 +486,6 @@ def _execute_export(config: ExperimentConfig, staging: Path, stage_seconds: dict
     splits = [(config.dataset.train, config.emotion_set)]
     if config.strategy == "export_ebridge":
         splits.insert(0, (config.dataset.english_train, EmotionSet.for_language("eng")))
-    sft_config = SftExportConfig.for_track(config.track)
 
     with _stage("load", stage_seconds):
         tables = [load_dataset(path, config.schema, es, config.track) for path, es in splits]
@@ -488,13 +495,12 @@ def _execute_export(config: ExperimentConfig, staging: Path, stage_seconds: dict
             sets = [oversample(instances, config.seed) for instances in sets]
     with _stage("export", stage_seconds):
         if config.strategy == "export_sft":
-            exported = export_sft_dataset(sets[0], sft_config, staging / "sft.jsonl").instance_count
+            export_sft_dataset(sets[0], config.track, staging / "sft.jsonl")
         else:
-            plan = export_ebridge_plan(*sets, sft_config, staging)
-            exported = plan.stage1.instance_count + plan.stage2.instance_count
+            export_ebridge_plan(*sets, config.track, staging)
     return {
         "snippets": sum(len(table) for table in tables),
-        "instances": exported,
+        "instances": sum(len(s) for s in sets),
         "requests": 0,
         "parse_failures": 0,
     }

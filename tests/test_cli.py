@@ -2,12 +2,12 @@
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 import yaml
 
-from emoharness import EmotionSet
+from emoharness import Bm25Params, ColumnSchema, DatasetPaths, EmotionSet, EndpointConfig, RetrievalConfig
 from emoharness.cli import main
 from datagen import make_snippets, write_csv
 
@@ -52,6 +52,21 @@ def run_config(workdir, **overrides):
     return write_yaml(workdir / "cfg.yaml", raw)
 
 
+#: Every float-typed key of the config's settings sections.
+FLOAT_KEYS = [
+    f"{section}.{f.name}"
+    for section, cls in [
+        ("dataset", DatasetPaths),
+        ("columns", ColumnSchema),
+        ("bm25", Bm25Params),
+        ("retrieval", RetrievalConfig),
+        ("endpoint", EndpointConfig),
+    ]
+    for f in fields(cls)
+    if f.type == "float"
+]
+
+
 class TestRunCommand:
     def test_run_prints_report_and_location(self, workdir, capsys):
         cfg = run_config(workdir)
@@ -77,6 +92,23 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: output_dir: cannot create {workdir / 'afile' / 'out.partial'}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "401-digits"]
+    )
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_must_be_finite(self, workdir, capsys, key, value):
+        section, name = key.split(".")
+        overrides = {section: {name: value}}
+        if section == "endpoint":
+            # A loopback URL and no retries: a run that got past validation stays on this machine.
+            endpoint = {"base_url": "http://127.0.0.1:9/v1", "model_name": "m", "max_retries": 0, name: value}
+            overrides = {"endpoint": endpoint, "mock": None}
+        cfg = run_config(workdir, **overrides)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: expected a finite number, got ")
         assert "Traceback" not in err
 
 

@@ -230,6 +230,15 @@ class TestExplode:
         with pytest.raises(ValidationError):
             explode([s], es, "A")
 
+    @pytest.mark.parametrize("track", ["A", "B"])
+    @pytest.mark.parametrize("label", [True, 1.0], ids=["bool", "float"])
+    def test_non_int_label_rejected(self, track, label):
+        # The SFT export writes str(gold), so True or 1.0 would reach a training file.
+        es = EmotionSet("eng", ("joy", "fear"))
+        s = Snippet("x", "hi", "eng", {"joy": label, "fear": 0})
+        with pytest.raises(ValidationError, match=rf"'x': joy label {label!r} is not an integer"):
+            explode([s], es, track)
+
 
 def _class_counts(instances):
     counts = {}

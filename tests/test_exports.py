@@ -10,7 +10,6 @@ from emoharness import (
     HYPERPARAMETERS,
     LEARNING_RATES,
     ConfigError,
-    SftExportConfig,
     TaskInstance,
     ValidationError,
     display_name,
@@ -20,6 +19,7 @@ from emoharness import (
 )
 from emoharness import exports
 from emoharness.exports import _encode_line
+from emoharness.prompting import TEMPLATE_IDS
 from datagen import escape_text
 
 
@@ -32,15 +32,19 @@ def read_jsonl(path):
 
 
 class TestSftExportConfig:
-    def test_for_track_a(self):
-        config = SftExportConfig.for_track("A")
-        assert config.template_id == "track_a"
-        assert config.hyperparameters["learning_rate"] == 2e-5
+    """The track picks the export's template and learning rate."""
 
-    def test_for_track_b(self):
-        config = SftExportConfig.for_track("B")
-        assert config.template_id == "track_b"
-        assert config.hyperparameters["learning_rate"] == 5e-5
+    @pytest.mark.parametrize(
+        "track, template_id, learning_rate",
+        [("A", "track_a", 2e-5), ("B", "track_b", 5e-5)],
+        ids=["A", "B"],
+    )
+    def test_track_picks_template_and_learning_rate(self, tmp_path, track, template_id, learning_rate):
+        out = tmp_path / "sft.jsonl"
+        export_sft_dataset([inst("s1", "fuming", "anger", 1, track=track)], track, out)
+        meta = json.loads(out.with_suffix(".meta.json").read_text(encoding="utf-8"))
+        assert meta["template_id"] == template_id
+        assert meta["hyperparameters"] == dict(HYPERPARAMETERS, learning_rate=learning_rate)
 
     def test_hyperparameter_block_values(self):
         assert HYPERPARAMETERS == {
@@ -54,47 +58,42 @@ class TestSftExportConfig:
         }
         assert LEARNING_RATES == {"track_a": 2e-5, "track_b": 5e-5}
 
-    def test_unknown_template_rejected(self):
-        with pytest.raises(ConfigError):
-            SftExportConfig("track_c", {})
+    def test_unknown_track_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown track 'C'"):
+            export_sft_dataset([], "C", tmp_path / "sft.jsonl")
 
 
 class TestExportSftDataset:
     def test_presence_line_shape(self, tmp_path):
         out = tmp_path / "sft.jsonl"
-        summary = export_sft_dataset(
-            [inst("s1", "good news", "joy", 1)], SftExportConfig.for_track("A"), out
-        )
+        assert export_sft_dataset([inst("s1", "good news", "joy", 1)], "A", out) is None
         (line,) = read_jsonl(out)
         assert set(line) == {"instruction", "output"}
         assert line["instruction"].endswith("Answer 1 for yes and 0 for no.")
         assert line["output"] == "1"
-        assert summary.instance_count == 1
 
     def test_intensity_gold_three(self, tmp_path):
         out = tmp_path / "sft.jsonl"
-        export_sft_dataset(
-            [inst("s1", "fuming", "anger", 3, track="B")], SftExportConfig.for_track("B"), out
-        )
+        export_sft_dataset([inst("s1", "fuming", "anger", 3, track="B")], "B", out)
         (line,) = read_jsonl(out)
         assert line["output"] == "3"
         assert line["instruction"].startswith("Task: Categorize the tweet")
 
     def test_empty_instances(self, tmp_path):
         out = tmp_path / "sft.jsonl"
-        summary = export_sft_dataset([], SftExportConfig.for_track("A"), out)
+        export_sft_dataset([], "A", out)
         assert out.read_text(encoding="utf-8") == ""
-        meta = json.loads(summary.metadata_path.read_text(encoding="utf-8"))
+        meta = json.loads((tmp_path / "sft.meta.json").read_text(encoding="utf-8"))
         assert meta["instances"] == 0
 
     def test_metadata_carries_hyperparameters_verbatim(self, tmp_path):
         out = tmp_path / "sft.jsonl"
-        summary = export_sft_dataset(
+        export_sft_dataset(
             [inst("s1", "good", "joy", 1), inst("s1b", "bad", "sadness", 1)],
-            SftExportConfig.for_track("A"),
+            "A",
             out,
         )
-        meta = json.loads(summary.metadata_path.read_text(encoding="utf-8"))
+        meta = json.loads((tmp_path / "sft.meta.json").read_text(encoding="utf-8"))
         assert meta["hyperparameters"] == dict(HYPERPARAMETERS, learning_rate=2e-5)
         assert meta["template_id"] == "track_a"
         assert meta["instances"] == 2
@@ -102,20 +101,12 @@ class TestExportSftDataset:
         assert meta["languages"] == ["eng"]
 
     def test_track_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            export_sft_dataset(
-                [inst("s1", "x", "joy", 2, track="B")],
-                SftExportConfig.for_track("A"),
-                tmp_path / "sft.jsonl",
-            )
+        with pytest.raises(ConfigError, match="'track_a' expects track A instances; got track B"):
+            export_sft_dataset([inst("s1", "x", "joy", 2, track="B")], "A", tmp_path / "sft.jsonl")
 
     def test_non_ascii_text_is_not_escaped(self, tmp_path):
         out = tmp_path / "sft.jsonl"
-        export_sft_dataset(
-            [inst("s1", "große Freude", "joy", 1, language="deu")],
-            SftExportConfig.for_track("A"),
-            out,
-        )
+        export_sft_dataset([inst("s1", "große Freude", "joy", 1, language="deu")], "A", out)
         raw = out.read_text(encoding="utf-8")
         assert "große Freude" in raw
         assert "\\u" not in raw
@@ -124,7 +115,7 @@ class TestExportSftDataset:
     def test_every_line_is_json_with_two_keys(self, tmp_path):
         out = tmp_path / "sft.jsonl"
         instances = [inst(f"s{i}", f"text {i}", "joy", i % 2) for i in range(10)]
-        export_sft_dataset(instances, SftExportConfig.for_track("A"), out)
+        export_sft_dataset(instances, "A", out)
         lines = read_jsonl(out)
         assert len(lines) == 10
         assert all(set(line) == {"instruction", "output"} for line in lines)
@@ -156,14 +147,13 @@ def escape_instances(track, count=400, seed=7):
 class TestExportBytes:
     @pytest.mark.parametrize("track", ["A", "B"])
     def test_lines_equal_the_json_encoder(self, tmp_path, track):
-        config = SftExportConfig.for_track(track)
         instances = escape_instances(track)
         out = tmp_path / "sft.jsonl"
-        export_sft_dataset(instances, config, out)
+        export_sft_dataset(instances, track, out)
         expected = "".join(
             _encode_line({
                 "instruction": render_zero_shot(
-                    config.template_id, i.text, display_name(i.language), i.emotion
+                    TEMPLATE_IDS[track], i.text, display_name(i.language), i.emotion
                 ),
                 "output": str(i.gold),
             })
@@ -183,7 +173,7 @@ class TestExportBytes:
         monkeypatch.setattr(exports, "render_zero_shot", counting)
         instances = escape_instances("A", count=50)
         out = tmp_path / "sft.jsonl"
-        export_sft_dataset(instances, SftExportConfig.for_track("A"), out)
+        export_sft_dataset(instances, "A", out)
         # JSON escapes newlines inside strings, so each raw one ends a line.
         assert len(calls) == out.read_bytes().count(b"\n") == 50
 
@@ -201,45 +191,51 @@ class TestExportEbridgePlan:
         ]
 
     def test_plan_orders_english_then_target(self, tmp_path):
-        plan = export_ebridge_plan(
-            self._instances("eng"),
-            self._instances("deu"),
-            SftExportConfig.for_track("A"),
-            tmp_path,
-        )
-        manifest = json.loads(plan.plan_path.read_text(encoding="utf-8"))
-        assert [s["language"] for s in manifest["stages"]] == ["eng", "deu"]
-        assert manifest["stages"][0]["dataset"] == "stage1_eng.jsonl"
-        assert manifest["stages"][1]["dataset"] == "stage2_deu.jsonl"
+        eng, deu = self._instances("eng", count=6), self._instances("deu", count=3)
+        assert export_ebridge_plan(eng, deu, "A", tmp_path) is None
+        manifest = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
+        assert manifest["kind"] == "staged_sft"
+        assert manifest["template_id"] == "track_a"
+        assert manifest["stages"] == [
+            {
+                "stage": 1,
+                "language": "eng",
+                "dataset": "stage1_eng.jsonl",
+                "metadata": "stage1_eng.meta.json",
+                "instances": 6,
+            },
+            {
+                "stage": 2,
+                "language": "deu",
+                "dataset": "stage2_deu.jsonl",
+                "metadata": "stage2_deu.meta.json",
+                "instances": 3,
+            },
+        ]
+        for stage in manifest["stages"]:
+            assert (tmp_path / stage["metadata"]).is_file()
 
     def test_stage_two_must_differ_from_english(self, tmp_path):
         with pytest.raises(ValidationError):
-            export_ebridge_plan(
-                self._instances("eng"),
-                self._instances("eng"),
-                SftExportConfig.for_track("A"),
-                tmp_path,
-            )
+            export_ebridge_plan(self._instances("eng"), self._instances("eng"), "A", tmp_path)
 
     def test_mixed_language_stage_rejected(self, tmp_path):
         mixed = self._instances("eng") + self._instances("deu", count=1)
         with pytest.raises(ValidationError):
-            export_ebridge_plan(
-                mixed, self._instances("deu"), SftExportConfig.for_track("A"), tmp_path
-            )
+            export_ebridge_plan(mixed, self._instances("deu"), "A", tmp_path)
         with pytest.raises(ValidationError):
             export_ebridge_plan(
                 self._instances("eng"),
                 self._instances("deu") + self._instances("ron", count=1),
-                SftExportConfig.for_track("A"),
+                "A",
                 tmp_path,
             )
 
     def test_round_trip_counts(self, tmp_path):
         eng = self._instances("eng", count=6)
         deu = self._instances("deu", count=3)
-        plan = export_ebridge_plan(eng, deu, SftExportConfig.for_track("A"), tmp_path)
-        assert len(read_jsonl(plan.stage1.dataset_path)) == 6
-        assert len(read_jsonl(plan.stage2.dataset_path)) == 3
-        manifest = json.loads(plan.plan_path.read_text(encoding="utf-8"))
+        export_ebridge_plan(eng, deu, "A", tmp_path)
+        assert len(read_jsonl(tmp_path / "stage1_eng.jsonl")) == 6
+        assert len(read_jsonl(tmp_path / "stage2_deu.jsonl")) == 3
+        manifest = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
         assert [s["instances"] for s in manifest["stages"]] == [6, 3]

@@ -127,6 +127,12 @@ class TestFewShot:
         with pytest.raises(ValidationError):
             render_few_shot([("a", "joy", 3)], "q", "English", "joy", k=1)
 
+    @pytest.mark.parametrize("gold", [True, 1.0], ids=["bool", "float"])
+    def test_example_gold_must_be_an_int(self, gold):
+        # Rendering would write "Answer: True" or "Answer: 1.0".
+        with pytest.raises(ValidationError, match=rf"gold {gold!r} is not a presence label"):
+            render_few_shot([("a", "joy", gold)], "q", "English", "joy", k=1)
+
     def test_blocks_separated_by_blank_line(self):
         prompt = render_few_shot(
             [("one", "joy", 0), ("two", "joy", 1), ("three", "joy", 0)],

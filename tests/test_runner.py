@@ -65,7 +65,7 @@ NULL_CASES = [
     # null where the key has a default is a type error
     ("oversample", "oversample: expected true/false, got None"),
     ("columns.id", "columns.id: expected a non-empty string, got None"),
-    ("bm25.k1", "bm25.k1: expected a number, got None"),
+    ("bm25.k1", "bm25.k1: expected a finite number, got None"),
     ("retrieval.k", "retrieval.k: expected an integer, got None"),
     ("endpoint.base_url", "endpoint.base_url: expected a non-empty string, got None"),
     # null for a required key is a missing key
@@ -488,3 +488,23 @@ class TestExportStrategies:
         assert plan["stages"][0]["instances"] == 6 * 5
         assert plan["stages"][1]["instances"] == 4 * 6
         assert "plan.json" in manifest.artifacts
+
+    @pytest.mark.parametrize("strategy", ["export_sft", "export_ebridge"])
+    def test_instance_count_is_lines_written(self, tmp_path, strategy):
+        eng = EmotionSet.for_language("eng")
+        deu = EmotionSet.for_language("deu")
+        rng = random.Random(8)
+        eng_csv = write_csv(tmp_path / "eng.csv", make_snippets(rng, 12, eng, "A", positive_rate=0.2), eng)
+        deu_csv = write_csv(tmp_path / "deu.csv", make_snippets(rng, 9, deu, "A", positive_rate=0.3), deu)
+        raw = minimal_raw(strategy=strategy, language="deu", oversample=True)
+        del raw["mock"]
+        raw["dataset"] = {"train": str(deu_csv), "english_train": str(eng_csv)}
+        raw["output_dir"] = str(tmp_path / "out")
+        manifest = run(validate_config(raw))
+        written = sum(
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in (tmp_path / "out").glob("*.jsonl")
+        )
+        # Oversampling adds lines to the snippets-times-emotions base.
+        assert written > {"export_sft": 9 * 6, "export_ebridge": 12 * 5 + 9 * 6}[strategy]
+        assert manifest.counts["instances"] == written
