@@ -44,4 +44,4 @@ for doc_id, _ in neighbours:
     examples.append((snippet.text, "joy", snippet.labels["joy"]))
 
 print("\n--- track A, 2-shot " + "-" * 43)
-print(render_few_shot(examples, query_text, "English", "joy", k=2, emotion_set=emotion_set))
+print(render_few_shot(examples, query_text, "English", "joy", emotion_set=emotion_set))

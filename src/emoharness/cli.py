@@ -14,7 +14,7 @@ from .evaluation import aggregate, marginalise
 from .exports import _write_json
 from .inference import PredictionRecord
 from .retrieval import RetrievalConfig, build_index, top_k
-from .runner import load_config, run, score_predictions
+from .runner import RUN_STRATEGIES, load_config, run, score_predictions
 
 
 def _read_predictions(path: Path) -> list[PredictionRecord]:
@@ -41,9 +41,9 @@ def _read_predictions(path: Path) -> list[PredictionRecord]:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    manifest = run(config)
-    print(f"run complete: {manifest.output_dir}")
-    report_path = manifest.output_dir / "report.txt"
+    run(config)
+    print(f"run complete: {config.output_dir}")
+    report_path = config.output_dir / "report.txt"
     if report_path.exists():
         print(report_path.read_text(encoding="utf-8"), end="")
     return 0
@@ -79,12 +79,12 @@ def _cmd_score(args) -> int:
 
 def _cmd_export_sft(args) -> int:
     config = load_config(args.config)
-    if config.strategy not in ("export_sft", "export_ebridge"):
+    if config.strategy in RUN_STRATEGIES:
         raise ConfigError(
             f"strategy: export-sft expects export_sft or export_ebridge, got {config.strategy!r}"
         )
     manifest = run(config)
-    print(f"export complete: {manifest.output_dir}")
+    print(f"export complete: {config.output_dir}")
     for name in sorted(manifest.artifacts):
         print(f"  {name}")
     return 0

@@ -206,6 +206,8 @@ def load_dataset(
                 snippets.append(Snippet(row_id, text, emotion_set.language_code, labels))
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read dataset: {exc}") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return snippets
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -53,11 +54,13 @@ class EndpointConfig:
     api_key_env: str = "EMOHARNESS_API_KEY"
 
     def __post_init__(self):
-        if self.temperature < 0:
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ConfigError(f"base_url must start with http:// or https://, got {self.base_url!r}")
+        if not 0 <= self.temperature < math.inf:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.timeout <= 0:
+        if not 0 < self.timeout < math.inf:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")

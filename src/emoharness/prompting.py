@@ -92,18 +92,15 @@ def render_few_shot(
     query_text: str,
     language: str,
     emotion: str,
-    k: int,
     emotion_set: EmotionSet | None = None,
 ) -> str:
     """Assemble a k-shot presence prompt from retrieved labelled examples.
 
     Each example ``(text, emotion, gold)`` becomes the zero-shot presence
     prompt followed by an ``Answer: {gold}`` line; blocks are separated by
-    blank lines and the query's zero-shot prompt comes last. ``k = 0``
+    blank lines and the query's zero-shot prompt comes last. No examples
     degenerates to plain zero-shot rendering.
     """
-    if len(examples) != k:
-        raise ValueError(f"expected {k} examples, got {len(examples)}")
     blocks = []
     for example_text, example_emotion, gold in examples:
         if example_emotion != emotion:

@@ -33,11 +33,11 @@ class Bm25Params:
     idf_floor_epsilon: float = 0.25
 
     def __post_init__(self):
-        if self.k1 < 0:
+        if not 0 <= self.k1 < math.inf:
             raise ValueError(f"k1 must be >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if self.idf_floor_epsilon < 0:
+        if not 0 <= self.idf_floor_epsilon < math.inf:
             raise ValueError(f"idf_floor_epsilon must be >= 0, got {self.idf_floor_epsilon}")
 
 

@@ -16,7 +16,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -59,7 +59,15 @@ from .retrieval import Bm25Params, RetrievalConfig, build_index, top_k
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("zero_shot", "few_shot", "marginalise_from_b", "export_sft", "export_ebridge")
+#: Each strategy with the dataset splits it reads.
+_SPLITS = {
+    "zero_shot": ("test",),
+    "few_shot": ("test", "train"),
+    "marginalise_from_b": ("test",),
+    "export_sft": ("train",),
+    "export_ebridge": ("train", "english_train"),
+}
+STRATEGIES = tuple(_SPLITS)
 RUN_STRATEGIES = ("zero_shot", "few_shot", "marginalise_from_b")
 
 #: ExperimentConfig attributes whose config key has another name.
@@ -136,17 +144,12 @@ def _plain(value):
 
 @dataclass
 class RunManifest:
+    """The ``manifest.json`` payload."""
+
     config: dict
     artifacts: dict[str, str]
     counts: dict
     timing: dict
-    output_dir: Path
-
-    def as_dict(self) -> dict:
-        """The ``manifest.json`` payload: every field but ``output_dir``."""
-        payload = asdict(self)
-        del payload["output_dir"]
-        return payload
 
 
 def _mapping(value, path: str, keys=None) -> dict:
@@ -183,15 +186,19 @@ def _cast(value, type_: str, path: str, required: bool = False):
 def _section(cls, value, path: str, where: str | None = None, **given):
     """Build the settings dataclass ``cls`` from its config mapping.
 
-    Field names are the allowed keys, each field's annotation picks its check
-    and field defaults fill absent keys; fields in ``given`` are already
-    checked. Errors from ``cls``'s own range checks are reported under
-    ``where`` (default: ``path``).
+    Field names, or their ``_CONFIG_KEYS`` names, are the allowed keys, each
+    field's annotation picks its check, field defaults fill absent keys and a
+    field without one is required; fields in ``given`` are already checked.
+    Errors from ``cls``'s own range checks are reported under ``where``
+    (default: ``path``).
     """
-    section = _mapping(value, path, {f.name for f in fields(cls)})
+    keys = {f.name: _CONFIG_KEYS.get(f.name, f.name) for f in fields(cls)}
+    section = _mapping(value, path, set(keys.values()))
     for f in fields(cls):
-        if f.name in section and f.name not in given:
-            given[f.name] = _cast(section[f.name], f.type, f"{path}.{f.name}")
+        key = keys[f.name]
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name not in given and (key in section or required):
+            given[f.name] = _cast(section.get(key), f.type, f"{path}.{key}" if path else key, required)
     try:
         return cls(**given)
     except (ValueError, ConfigError) as exc:
@@ -206,20 +213,9 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected a mapping, got {type(raw).__name__}")
-    _mapping(raw, "", {_CONFIG_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig)})
     base = Path(base_dir) if base_dir is not None else Path(".")
-
-    track = _cast(raw.get("track"), "str", "track", required=True)
-    if track not in TRACKS:
-        raise ConfigError(f"track: expected one of {list(TRACKS)}, got {track!r}")
     language = _cast(raw.get("language"), "str", "language", required=True)
-    strategy = _cast(raw.get("strategy"), "str", "strategy", required=True)
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: expected one of {list(STRATEGIES)}, got {strategy!r}")
-    seed = _cast(raw.get("seed"), "int", "seed", required=True)
-    output_dir = base / _cast(raw.get("output_dir"), "Path", "output_dir", required=True)
     relative = _section(DatasetPaths, raw.get("dataset"), "dataset")
-    dataset = DatasetPaths(*(p and base / p for p in astuple(relative)))
 
     if raw.get("emotions") is not None:
         emotions_raw = raw["emotions"]
@@ -239,60 +235,41 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
         if key not in EMOTIONS:
             raise ConfigError(f"columns.emotions.{key}: not a known emotion")
         _cast(value, "str", f"columns.emotions.{key}")
-    schema = _section(ColumnSchema, columns, "columns", emotions=dict(emotion_columns))
 
-    bm25 = _section(Bm25Params, raw.get("bm25"), "bm25")
-    retrieval = _section(RetrievalConfig, raw.get("retrieval"), "retrieval", where="retrieval.k")
-    endpoint = None
-    if raw.get("endpoint") is not None:
-        endpoint = _section(EndpointConfig, raw["endpoint"], "endpoint")
-
-    mock_id = _cast(raw.get("mock"), "str | None", "mock")
+    config = _section(
+        ExperimentConfig, raw, "",
+        language=language,
+        dataset=DatasetPaths(*(p and base / p for p in astuple(relative))),
+        emotion_set=emotion_set,
+        schema=_section(ColumnSchema, columns, "columns", emotions=dict(emotion_columns)),
+        bm25=_section(Bm25Params, raw.get("bm25"), "bm25"),
+        retrieval=_section(RetrievalConfig, raw.get("retrieval"), "retrieval", where="retrieval.k"),
+        endpoint=(
+            None if raw.get("endpoint") is None else _section(EndpointConfig, raw["endpoint"], "endpoint")
+        ),
+    )
+    config.output_dir = base / config.output_dir
+    track, strategy, mock_id = config.track, config.strategy, config.mock_id
+    if track not in TRACKS:
+        raise ConfigError(f"track: expected one of {list(TRACKS)}, got {track!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy: expected one of {list(STRATEGIES)}, got {strategy!r}")
     if mock_id is not None and mock_id not in BUILTIN_MOCKS:
         raise ConfigError(f"mock: unknown mock {mock_id!r}; built-in: {sorted(BUILTIN_MOCKS)}")
 
-    oversample_flag = _cast(raw.get("oversample", ExperimentConfig.oversample), "bool", "oversample")
-
     # Cross-field invariants.
-    if endpoint is not None and mock_id is not None:
+    if config.endpoint is not None and mock_id is not None:
         raise ConfigError("endpoint and mock are mutually exclusive; configure one")
-    if strategy in RUN_STRATEGIES:
-        if dataset.test is None:
-            raise ConfigError(f"dataset.test: required for strategy {strategy}")
-        if endpoint is None and mock_id is None:
-            raise ConfigError(f"strategy {strategy} needs either endpoint or mock")
-    if strategy == "few_shot":
-        if dataset.train is None:
-            raise ConfigError("dataset.train: required for strategy few_shot")
-        if track != TRACK_A:
-            raise ConfigError("strategy few_shot renders presence examples; set track: A")
-    if strategy == "marginalise_from_b" and track != TRACK_A:
-        raise ConfigError("strategy marginalise_from_b scores presence labels; set track: A")
-    if strategy == "export_sft" and dataset.train is None:
-        raise ConfigError("dataset.train: required for strategy export_sft")
-    if strategy == "export_ebridge":
-        if dataset.train is None:
-            raise ConfigError("dataset.train: required for strategy export_ebridge")
-        if dataset.english_train is None:
-            raise ConfigError("dataset.english_train: required for strategy export_ebridge")
-        if language == "eng":
-            raise ConfigError("language: export_ebridge target must differ from eng")
-
-    return ExperimentConfig(
-        track=track,
-        language=language,
-        strategy=strategy,
-        seed=seed,
-        output_dir=output_dir,
-        dataset=dataset,
-        emotion_set=emotion_set,
-        schema=schema,
-        bm25=bm25,
-        retrieval=retrieval,
-        endpoint=endpoint,
-        mock_id=mock_id,
-        oversample=oversample_flag,
-    )
+    for split in _SPLITS[strategy]:
+        if getattr(config.dataset, split) is None:
+            raise ConfigError(f"dataset.{split}: required for strategy {strategy}")
+    if strategy in RUN_STRATEGIES and config.endpoint is None and mock_id is None:
+        raise ConfigError(f"strategy {strategy} needs either endpoint or mock")
+    if strategy in ("few_shot", "marginalise_from_b") and track != TRACK_A:
+        raise ConfigError(f"strategy {strategy} uses presence labels; set track: A")
+    if strategy == "export_ebridge" and language == "eng":
+        raise ConfigError("language: export_ebridge target must differ from eng")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -353,10 +330,10 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
         raise ConfigError(f"output_dir: cannot create {staging}: {exc}") from exc
     stage_seconds: dict[str, float] = {}
     try:
-        if config.strategy in ("export_sft", "export_ebridge"):
-            counts = _execute_export(config, staging, stage_seconds)
-        else:
+        if config.strategy in RUN_STRATEGIES:
             counts = _execute_run(config, mock, staging, stage_seconds)
+        else:
+            counts = _execute_export(config, staging, stage_seconds)
     except RunStageError as exc:
         cause = exc.__cause__
         _write_json(
@@ -388,11 +365,10 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
         artifacts=artifacts,
         counts=counts,
         timing=timing,
-        output_dir=out_dir,
     )
     # The manifest hashes every other artifact, so it is written last and
     # carries no hash of itself.
-    _write_json(staging / "manifest.json", manifest.as_dict())
+    _write_json(staging / "manifest.json", asdict(manifest))
     os.replace(staging, out_dir)
     return manifest
 
@@ -432,9 +408,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
                 (train_by_id[doc_id].text, inst.emotion, train_by_id[doc_id].labels[inst.emotion])
                 for doc_id, _ in hits_by_snippet[inst.snippet_id]
             ]
-            return render_few_shot(
-                examples, inst.text, language, inst.emotion, config.retrieval.k, emotion_set
-            )
+            return render_few_shot(examples, inst.text, language, inst.emotion, emotion_set)
     else:
         def render(inst):
             return render_zero_shot(template_id, inst.text, language, inst.emotion, emotion_set)

@@ -27,6 +27,8 @@ def workdir(tmp_path):
 MISSING = "missing"
 #: A text whose input file is written as Latin-1, so it is not valid UTF-8.
 NOT_UTF8 = "café"
+#: A text longer than the csv module's default field size limit (131072).
+OVERSIZED = "x" * 140_000
 
 
 def write_latin1(path):
@@ -207,6 +209,7 @@ class TestScoreCommand:
             pytest.param(0, "A", None, id="gold-header-only"),
             pytest.param(1, "B", None, id="track-b-gold-one-row"),
             pytest.param(1, "A", NOT_UTF8, id="gold-not-utf8"),
+            pytest.param(1, "A", OVERSIZED, id="gold-field-over-csv-limit"),
         ],
     )
     def test_score_bad_gold_is_an_error_not_a_traceback(self, workdir, capsys, gold_rows, track, text):
@@ -313,6 +316,7 @@ class TestRetrieveCommand:
             pytest.param("2", "!!!", "dataset.train", id="train-without-tokens"),
             pytest.param("2", MISSING, "{workdir}/train.csv", id="train-csv-missing"),
             pytest.param("2", NOT_UTF8, "{workdir}/train.csv", id="train-csv-not-utf8"),
+            pytest.param("2", OVERSIZED, "{workdir}/train.csv", id="train-field-over-csv-limit"),
         ],
     )
     def test_retrieve_bad_input_is_an_error_not_a_traceback(

@@ -179,6 +179,17 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="empty text"):
             load_dataset(path, ColumnSchema(), es, "A")
 
+    def test_unparsable_csv_cites_path_and_line(self, tmp_path):
+        # The csv module refuses a field longer than its limit (131072 by default).
+        es = EmotionSet.for_language("eng")
+        path = write_rows(
+            tmp_path / "d.csv",
+            ["id", "text", "anger", "fear", "joy", "sadness", "surprise"],
+            [["r1", "hi", 0, 0, 0, 0, 0], ["r2", "x" * 140_000, 0, 0, 0, 0, 0]],
+        )
+        with pytest.raises(SchemaError, match=rf"^{path}: line 3: field larger than field limit"):
+            load_dataset(path, ColumnSchema(), es, "A")
+
     def test_column_remapping(self, tmp_path):
         es = EmotionSet.for_language("eng")
         path = write_rows(

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import random
 import sys
 import threading
@@ -368,6 +369,8 @@ class TestEndpointConfig:
             {"timeout": 0},
             {"max_retries": -1},
             {"concurrency_limit": 0},
+            {"base_url": "localhost:8000/v1"},
+            *({key: value} for key in ("temperature", "timeout") for value in (math.nan, math.inf)),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

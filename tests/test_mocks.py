@@ -44,7 +44,7 @@ class TestExtractQuery:
 
     @pytest.mark.parametrize("text,language", ROUND_TRIP_CASES)
     def test_few_shot_prompt_returns_final_query(self, text, language):
-        prompt = render_few_shot([("example text", "joy", 1)], text, language, "joy", k=1)
+        prompt = render_few_shot([("example text", "joy", 1)], text, language, "joy")
         assert extract_query(prompt) == (text, "joy", "A")
 
     def test_unrecognized_prompt(self):

@@ -92,7 +92,7 @@ class TestZeroShot:
 
 class TestFewShot:
     def test_single_example_structure(self):
-        prompt = render_few_shot([("Great win today", "joy", 1)], "I lost", "English", "joy", k=1)
+        prompt = render_few_shot([("Great win today", "joy", 1)], "I lost", "English", "joy")
         assert prompt.count("You are detecting emotions") == 2
         assert "Answer: 1" in prompt
         assert prompt.endswith("Answer 1 for yes and 0 for no.")
@@ -101,7 +101,7 @@ class TestFewShot:
         assert query_block == render_zero_shot("track_a", "I lost", "English", "joy")
 
     def test_zero_examples_degenerates_to_zero_shot(self):
-        prompt = render_few_shot([], "I lost", "English", "joy", k=0)
+        prompt = render_few_shot([], "I lost", "English", "joy")
         assert prompt == render_zero_shot("track_a", "I lost", "English", "joy")
 
     def test_example_order_preserved(self):
@@ -110,28 +110,23 @@ class TestFewShot:
             "query text",
             "English",
             "joy",
-            k=2,
         )
         assert prompt.index("Answer: 1") < prompt.index("Answer: 0")
         assert prompt.count("Answer: ") == 2
 
-    def test_example_count_must_match_k(self):
-        with pytest.raises(ValueError):
-            render_few_shot([("a", "joy", 1)], "q", "English", "joy", k=2)
-
     def test_example_emotion_must_match_query(self):
         with pytest.raises(ValidationError):
-            render_few_shot([("a", "fear", 1)], "q", "English", "joy", k=1)
+            render_few_shot([("a", "fear", 1)], "q", "English", "joy")
 
     def test_example_gold_must_be_presence_label(self):
         with pytest.raises(ValidationError):
-            render_few_shot([("a", "joy", 3)], "q", "English", "joy", k=1)
+            render_few_shot([("a", "joy", 3)], "q", "English", "joy")
 
     @pytest.mark.parametrize("gold", [True, 1.0], ids=["bool", "float"])
     def test_example_gold_must_be_an_int(self, gold):
         # Rendering would write "Answer: True" or "Answer: 1.0".
         with pytest.raises(ValidationError, match=rf"gold {gold!r} is not a presence label"):
-            render_few_shot([("a", "joy", gold)], "q", "English", "joy", k=1)
+            render_few_shot([("a", "joy", gold)], "q", "English", "joy")
 
     def test_blocks_separated_by_blank_line(self):
         prompt = render_few_shot(
@@ -139,7 +134,6 @@ class TestFewShot:
             "query",
             "English",
             "joy",
-            k=3,
         )
         blocks = prompt.split("\n\n")
         assert len(blocks) == 4

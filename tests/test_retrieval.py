@@ -97,6 +97,12 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             RetrievalConfig(k=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("key", ["k1", "idf_floor_epsilon"])
+    def test_params_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            Bm25Params(**{key: value})
+
 
 class TestScore:
     def test_no_shared_terms_scores_zero(self):

@@ -9,8 +9,10 @@ import pytest
 import yaml
 
 from emoharness import (
+    STRATEGIES,
     ConfigError,
     EmotionSet,
+    EndpointConfig,
     GoldLookupMock,
     RunStageError,
     explode,
@@ -38,6 +40,28 @@ def minimal_raw(**overrides):
 def endpoint_raw(**overrides):
     raw = minimal_raw(endpoint={"base_url": "http://h/v1", "model_name": "m"}, **overrides)
     del raw["mock"]
+    return raw
+
+
+#: The dataset splits each strategy reads.
+SPLIT_NEEDS = {
+    "zero_shot": ("test",),
+    "few_shot": ("test", "train"),
+    "marginalise_from_b": ("test",),
+    "export_sft": ("train",),
+    "export_ebridge": ("train", "english_train"),
+}
+
+
+def strategy_raw(strategy):
+    """A valid config for ``strategy`` that names every dataset split."""
+    raw = minimal_raw(
+        strategy=strategy,
+        language="deu",
+        dataset={"test": "test.csv", "train": "train.csv", "english_train": "eng.csv"},
+    )
+    if strategy.startswith("export_"):
+        del raw["mock"]
     return raw
 
 
@@ -217,11 +241,42 @@ class TestValidateConfig:
                 id="overrides",
             ),
             pytest.param(endpoint_raw, id="endpoint"),
+            *(pytest.param(lambda s=s: strategy_raw(s), id=s) for s in STRATEGIES),
         ],
     )
     def test_snapshot_is_a_fixed_point(self, make_raw):
         snap = validate_config(make_raw()).snapshot()
         assert validate_config(snap).snapshot() == snap
+
+    def test_strategies_keep_their_order(self):
+        assert STRATEGIES == tuple(SPLIT_NEEDS)
+
+    @pytest.mark.parametrize("split", ["test", "train", "english_train"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_strategy_requires_only_its_splits(self, strategy, split):
+        raw = strategy_raw(strategy)
+        del raw["dataset"][split]
+        if split in SPLIT_NEEDS[strategy]:
+            assert outcome(raw) == f"dataset.{split}: required for strategy {strategy}"
+        else:
+            assert isinstance(outcome(raw), dict)
+
+    @pytest.mark.parametrize("strategy", ["few_shot", "marginalise_from_b"])
+    def test_presence_strategies_name_track_a(self, strategy):
+        assert outcome(strategy_raw(strategy) | {"track": "B"}) == (
+            f"strategy {strategy} uses presence labels; set track: A"
+        )
+
+    def test_empty_endpoint_section_is_the_default_endpoint(self):
+        raw = endpoint_raw()
+        raw["endpoint"] = {}
+        assert validate_config(raw).endpoint == EndpointConfig()
+
+    def test_endpoint_base_url_needs_http_scheme(self):
+        raw = endpoint_raw()
+        raw["endpoint"]["base_url"] = "localhost:8000/v1"
+        with pytest.raises(ConfigError, match=r"^endpoint: base_url must start with http:// or https://"):
+            validate_config(raw)
 
     def test_snapshot_never_contains_secret_values(self, monkeypatch):
         monkeypatch.setenv("EMOHARNESS_API_KEY", "sk-should-not-appear")
