@@ -7,6 +7,9 @@ the endpoint so end-to-end runs need no network.
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import http.client
 import json
 import logging
 import math
@@ -14,12 +17,12 @@ import os
 import random
 import threading
 import time
+import urllib.parse
+import urllib.request
 from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-
-import requests
 
 from .corpus import LABEL_RANGES, TRACKS
 from .errors import ConfigError, ProtocolError, TransportError
@@ -33,9 +36,9 @@ _ASCII_DIGITS = "0123456789"
 # holds more than a handful of rendered prompts per worker.
 _WINDOW_PER_WORKER = 4
 
-# One keep-alive session per worker thread: a ``requests.Session`` is not
-# documented as safe to share between threads.
-_sessions = threading.local()
+# One keep-alive ``_Connection`` per worker thread: an ``HTTPConnection`` is
+# not safe to share between threads.
+_connections = threading.local()
 
 
 @dataclass(frozen=True)
@@ -155,15 +158,77 @@ def parse_label(raw_text: str, track: str) -> int | None:
     return None
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
-    session = getattr(_sessions, "session", None)
-    if session is None:
-        session = _sessions.session = requests.Session()
+@dataclass(slots=True)
+class _Connection:
+    """A thread's connection to ``origin``, ``(scheme, host, timeout)``.
+    ``absolute_target`` is set for plain HTTP through a proxy, which takes
+    the whole URL as the target. The connection closes when its thread ends
+    and drops it."""
+
+    origin: tuple[str, str, float]
+    conn: http.client.HTTPConnection
+    absolute_target: bool
+    proxy_headers: dict[str, str]
+
+    def __del__(self):
+        self.conn.close()
+
+
+def _open_connection(origin: tuple[str, str, float]) -> _Connection:
+    """Connect through the environment's proxy for the scheme, unless
+    ``no_proxy`` covers the host. HTTPS goes through the proxy as a
+    ``CONNECT`` tunnel; the proxy itself is spoken to in plain HTTP."""
+    scheme, host, timeout = origin
+    https = scheme == "https"
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(host):
+        cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        return _Connection(origin, cls(host, timeout=timeout), False, {})
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    proxy_headers = {}
+    if parts.username is not None:
+        user = urllib.parse.unquote(parts.username)
+        password = urllib.parse.unquote(parts.password or "")
+        token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+        proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+    proxy_host = parts.netloc.rpartition("@")[2]
+    if not https:
+        return _Connection(origin, http.client.HTTPConnection(proxy_host, timeout=timeout), True, proxy_headers)
+    conn = http.client.HTTPSConnection(proxy_host, timeout=timeout)
+    conn.set_tunnel(host, headers=proxy_headers)
+    return _Connection(origin, conn, False, {})
+
+
+def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
     try:
-        resp = session.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        parts = urllib.parse.urlsplit(url)
+        origin = (parts.scheme.lower(), parts.netloc.rpartition("@")[2], timeout)
+        held = getattr(_connections, "held", None)
+        if held is None or held.origin != origin:
+            held = _connections.held = _open_connection(origin)
+    except (ValueError, http.client.HTTPException) as exc:  # a malformed host, port or proxy URL
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    return resp.status_code, resp.text
+    conn = held.conn
+    target = url if held.absolute_target else parts.path + (f"?{parts.query}" if parts.query else "")
+    body = json.dumps(payload).encode("utf-8")
+    if held.proxy_headers:
+        headers = {**headers, **held.proxy_headers}
+    reused = conn.sock is not None
+    while True:
+        response = None
+        try:
+            conn.request("POST", target, body, headers)
+            response = conn.getresponse()
+            return response.status, response.read().decode("utf-8", errors="replace")
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            # A server may close a keep-alive connection while it sits idle.
+            # A request on it then fails before any response arrives, so the
+            # endpoint never saw it: send it once more on a fresh connection.
+            if reused and response is None and isinstance(exc, ConnectionError):
+                reused = False
+                continue
+            raise TransportError(f"request to {url} failed: {exc}") from exc
 
 
 def _is_retryable_status(status: int) -> bool:
@@ -180,7 +245,7 @@ class CompletionClient:
 
     config: EndpointConfig
     mock: object | None = None
-    transport: object = _requests_transport
+    transport: object = _http_transport
     sleep: object = time.sleep
     rng: random.Random = field(default_factory=random.Random)
 
@@ -212,20 +277,55 @@ class CompletionClient:
         default transport keeps one keep-alive connection per worker. If a
         request fails, the first failure in input order is raised and the
         requests still queued are cancelled.
+
+        At temperature 0 each distinct prompt is sent once. A later request
+        with the same prompt gets the first answer's ``raw_text`` with its
+        own ``snippet_id`` and ``emotion``, ``latency`` 0 and
+        ``attempt_count`` 0, so attempts count the requests the endpoint
+        saw. Above 0, repeated prompts are independent samples and all are
+        sent.
         """
         if self.mock is not None:
             return [self.complete(r) for r in requests_]
         window = _WINDOW_PER_WORKER * self.config.concurrency_limit
+        dedup = self.config.temperature == 0
+        # sha256 of each prompt sent -> its future until collected, then its
+        # answer: about 100 bytes per distinct prompt besides the answer.
+        sent: dict[bytes, Future | str] = {}
+        # (digest or None, None, future) for a request sent; (None, request,
+        # future or answer) for a copy of an earlier request's answer.
+        pending: deque[tuple[bytes | None, CompletionRequest | None, Future | str]] = deque()
         results: list[RawCompletion] = []
-        pending: deque[Future] = deque()
+
+        def collect() -> None:
+            digest, copy, source = pending.popleft()
+            if copy is None:
+                completion = source.result()
+                if digest is not None:
+                    sent[digest] = completion.raw_text
+            else:
+                raw_text = source if isinstance(source, str) else source.result().raw_text
+                completion = RawCompletion(copy.snippet_id, copy.emotion, raw_text, 0.0, 0)
+            results.append(completion)
+
         with ThreadPoolExecutor(max_workers=self.config.concurrency_limit) as pool:
             try:
                 for request in requests_:
-                    pending.append(pool.submit(self.complete, request))
+                    digest = None
+                    if dedup:
+                        digest = hashlib.sha256(request.prompt.encode("utf-8", "surrogatepass")).digest()
+                    source = sent.get(digest)
+                    if source is None:
+                        source = pool.submit(self.complete, request)
+                        if digest is not None:
+                            sent[digest] = source
+                        pending.append((digest, None, source))
+                    else:
+                        pending.append((None, request, source))
                     if len(pending) == window:
-                        results.append(pending.popleft().result())
+                        collect()
                 while pending:
-                    results.append(pending.popleft().result())
+                    collect()
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise

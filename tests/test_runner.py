@@ -1,20 +1,25 @@
 """Config validation strictness and end-to-end pipeline behaviour."""
 
 import copy
+import functools
 import hashlib
 import json
 import random
+import threading
 
 import pytest
 import yaml
 
+import emoharness.runner
 from emoharness import (
     STRATEGIES,
+    CompletionClient,
     ConfigError,
     EmotionSet,
     EndpointConfig,
     GoldLookupMock,
     RunStageError,
+    Snippet,
     explode,
     load_config,
     run,
@@ -436,6 +441,28 @@ class TestRunPipeline:
         vectors = [json.loads(l) for l in (out / "aggregated.jsonl").read_text().splitlines()]
         assert all(v["track"] == "A" for v in vectors)
         assert all(value in (0, 1) for v in vectors for value in v["values"].values())
+
+    def test_endpoint_attempts_are_the_requests_sent(self, tmp_path, monkeypatch):
+        es = EmotionSet.for_language("eng")
+        snippets = make_snippets(random.Random(3), 6, es, "A")
+        # A repeated text renders the same prompt for every emotion, and a
+        # temperature-0 run sends each of those prompts once.
+        snippets += [Snippet(f"{s.id}-again", s.text, s.language, s.labels) for s in snippets[:2]]
+        raw = endpoint_raw(output_dir=str(tmp_path / "out"))
+        raw["dataset"] = {"test": str(write_csv(tmp_path / "test.csv", snippets, es))}
+        prompts = []
+        lock = threading.Lock()
+
+        def transport(url, payload, headers, timeout):
+            with lock:
+                prompts.append(payload["messages"][0]["content"])
+            return 200, json.dumps({"choices": [{"message": {"content": "1"}}]})
+
+        client = functools.partial(CompletionClient, transport=transport)
+        monkeypatch.setattr(emoharness.runner, "CompletionClient", client)
+        manifest = run(validate_config(raw))
+        assert manifest.counts["requests"] == manifest.counts["instances"] == 8 * len(es)
+        assert manifest.counts["attempts"] == len(prompts) == len(set(prompts)) == 6 * len(es)
 
     def test_missing_dataset_fails_in_load_stage_with_quarantine(self, tmp_path):
         raw = minimal_raw()
