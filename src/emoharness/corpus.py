@@ -27,6 +27,10 @@ TRACKS = (TRACK_A, TRACK_B)
 
 LABEL_RANGES = {TRACK_A: (0, 1), TRACK_B: (0, 3)}
 
+#: The digits a label is written with. ``str.isdigit`` would also accept
+#: non-ASCII ones, such as the Arabic-Indic and Devanagari digits.
+ASCII_DIGITS = "0123456789"
+
 #: Languages whose annotation scheme drops one of the six emotions.
 EMOTION_SET_OVERRIDES = {
     "eng": ("anger", "fear", "joy", "sadness", "surprise"),
@@ -183,10 +187,15 @@ def load_dataset(
         with path.open(encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
-            required = [schema.id, schema.text] + [schema.column_for(e) for e in emotion_set]
+            columns = [(e, schema.column_for(e)) for e in emotion_set]
+            required = [schema.id, schema.text] + [column for _, column in columns]
             missing = [c for c in required if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+            # The exact in-range cells; anything else (" 1", "01", "", None)
+            # goes through _parse_label_cell, which accepts or names it.
+            lo, hi = LABEL_RANGES[track]
+            cells = {str(label): label for label in range(lo, hi + 1)}
             snippets: list[Snippet] = []
             seen: set[str] = set()
             for row in reader:
@@ -199,10 +208,9 @@ def load_dataset(
                 text = row[schema.text] or ""
                 if not text.strip():
                     raise ValidationError(f"row {row_id!r}: empty text")
-                labels = {
-                    e: _parse_label_cell(row[schema.column_for(e)], track, row_id, schema.column_for(e))
-                    for e in emotion_set
-                }
+                labels = {e: cells.get(row[column]) for e, column in columns}
+                if None in labels.values():
+                    labels = {e: _parse_label_cell(row[column], track, row_id, column) for e, column in columns}
                 snippets.append(Snippet(row_id, text, emotion_set.language_code, labels))
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read dataset: {exc}") from exc

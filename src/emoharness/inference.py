@@ -24,13 +24,12 @@ from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
-from .corpus import LABEL_RANGES, TRACKS
+from .corpus import ASCII_DIGITS, LABEL_RANGES, TRACKS
 from .errors import ConfigError, ProtocolError, TransportError
 
 log = logging.getLogger(__name__)
 
 _BACKOFF_BASE_SECONDS = 1.0
-_ASCII_DIGITS = "0123456789"
 # Endpoint requests in flight per worker: enough that a worker finding its
 # next request never waits on the caller, few enough that the caller never
 # holds more than a handful of rendered prompts per worker.
@@ -59,6 +58,17 @@ class EndpointConfig:
     def __post_init__(self):
         if not self.base_url.lower().startswith(("http://", "https://")):
             raise ConfigError(f"base_url must start with http:// or https://, got {self.base_url!r}")
+        # Checked here, once: a request to a malformed address fails the same
+        # way on every retry, after the whole backoff.
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+            port = parts.port
+        except ValueError as exc:  # a non-numeric or out-of-range port, an unclosed "["
+            raise ConfigError(f"base_url has a malformed host or port ({exc}): {self.base_url!r}") from None
+        if not parts.hostname:
+            raise ConfigError(f"base_url has no host: {self.base_url!r}")
+        if port == 0:
+            raise ConfigError(f"base_url port must be in 1-65535, got 0: {self.base_url!r}")
         if not 0 <= self.temperature < math.inf:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
@@ -152,7 +162,7 @@ def parse_label(raw_text: str, track: str) -> int | None:
         raise ValueError(f"unknown track {track!r}")
     lo, hi = LABEL_RANGES[track]
     for ch in raw_text:
-        if ch in _ASCII_DIGITS:
+        if ch in ASCII_DIGITS:
             value = int(ch)
             return value if lo <= value <= hi else None
     return None

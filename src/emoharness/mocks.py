@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import LABEL_RANGES, TRACK_A, TRACK_B, TaskInstance
+from .corpus import ASCII_DIGITS, LABEL_RANGES, TRACK_A, TRACK_B, TaskInstance
 from .errors import ConfigError
 from .prompting import extract_query
-
-_ASCII_DIGITS = "0123456789"
 
 
 class EchoFirstDigitMock:
@@ -23,7 +21,7 @@ class EchoFirstDigitMock:
 
     def respond(self, prompt: str) -> str:
         for ch in prompt:
-            if ch in _ASCII_DIGITS:
+            if ch in ASCII_DIGITS:
                 return ch
         return "0"
 

@@ -2,24 +2,27 @@
 
 ``build_index`` stores an inverted index in flat CSR form: one array of
 document positions holds every term's postings back to back (ascending
-within a term), a parallel array holds the term frequencies, and
-``postings`` maps each term to its ``(start, end)`` slice. A per-document
-length normaliser is precomputed with the same expression ``score`` uses.
+within a term), a parallel array ``posting_weights`` holds each posting's
+BM25 contribution ``idf * tf * (k1 + 1) / (tf + norm)``, and ``postings``
+maps each term to its ``(start, end)`` slice. Each weight is computed with
+the IEEE operations, in the order, that ``score`` uses for one query token
+in one document, so it is the very float ``score`` adds.
 
 ``top_k`` scores term at a time, as Lucene and Pyserini do: it tokenizes
 the query once and, for each query token in order (repeats included), adds
-that term's contribution to an accumulator over the documents in its
-postings only. The floating-point operations and their order match
-``score`` exactly, so the two agree bit for bit, and a stable sort keeps
-tied documents in corpus order.
+that term's weights to an accumulator over the documents in its postings
+only. Each document's sum is then ``score``'s sum, term for term and in
+the same order, so the two agree bit for bit, and a stable sort keeps tied
+documents in corpus order.
 """
 
 from __future__ import annotations
 
 import math
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -68,8 +71,21 @@ def tokenize(text: str) -> list[str]:
     Chinese) collapse to near-whole-sentence tokens and retrieval quality
     degrades accordingly.
     """
-    tokens = (_strip_punctuation(part) for part in text.lower().split())
-    return [t for t in tokens if t]
+    return _tokenize(text, {})
+
+
+def _tokenize(text: str, stripped: dict[str, str]) -> list[str]:
+    """``tokenize``, reusing and filling ``stripped``, a map from each
+    whitespace-split part to its stripped form. ``build_index`` passes one
+    map for its whole corpus, so each distinct part is stripped once."""
+    tokens = []
+    for part in text.lower().split():
+        token = stripped.get(part)
+        if token is None:
+            token = stripped[part] = _strip_punctuation(part)
+        if token:
+            tokens.append(token)
+    return tokens
 
 
 @dataclass(eq=False)
@@ -84,10 +100,12 @@ class Bm25Index:
     term_frequencies: tuple[dict[str, int], ...]
     document_frequency: dict[str, int]
     idf: dict[str, float]
-    postings: dict[str, tuple[int, int]]  # term -> slice of posting_docs/posting_freqs
+    postings: dict[str, tuple[int, int]]  # term -> slice of posting_docs/posting_weights
     posting_docs: np.ndarray  # document positions, ascending within each term
-    posting_freqs: np.ndarray  # float64 term frequency of each posting
-    norms: np.ndarray  # float64 k1 * (1 - b + b * len / avgdl) per document
+    # float64 BM25 contribution of each posting, idf * tf * (k1 + 1) / (tf + norm)
+    # with norm = k1 * (1 - b + b * len / avgdl): the operations, in the order,
+    # that ``score`` performs per token, so a sum of these equals its total.
+    posting_weights: np.ndarray
 
     def __post_init__(self):
         self._positions = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
@@ -121,18 +139,21 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError("duplicate document ids in corpus")
 
-    term_frequencies = tuple(Counter(tokenize(text)) for _, text in corpus)
+    stripped: dict[str, str] = {}
+    term_frequencies = tuple(Counter(_tokenize(text, stripped)) for _, text in corpus)
     doc_lengths = tuple(sum(tf.values()) for tf in term_frequencies)
     doc_count = len(corpus)
     if not any(doc_lengths):
         raise ValueError("cannot build an index over a corpus with no tokens")
     avgdl = sum(doc_lengths) / doc_count
 
-    positions_by_term: dict[str, list[int]] = {}
+    # Each term's postings as one flat list of (position, freq) pairs, in
+    # ascending position; terms in order of first appearance.
+    postings_by_term: defaultdict[str, list[int]] = defaultdict(list)
     for position, tf in enumerate(term_frequencies):
-        for term in tf:
-            positions_by_term.setdefault(term, []).append(position)
-    document_frequency = {term: len(positions) for term, positions in positions_by_term.items()}
+        for term, freq in tf.items():
+            postings_by_term[term] += (position, freq)
+    document_frequency = {term: len(pairs) // 2 for term, pairs in postings_by_term.items()}
 
     raw_idf = {
         term: math.log((doc_count - n + 0.5) / (n + 0.5))
@@ -143,14 +164,20 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
     idf = {term: (v if v > 0 else floor) for term, v in raw_idf.items()}
 
     postings: dict[str, tuple[int, int]] = {}
-    posting_docs: list[int] = []
-    posting_freqs: list[int] = []
-    for term, positions in positions_by_term.items():
-        postings[term] = (len(posting_docs), len(posting_docs) + len(positions))
-        posting_docs.extend(positions)
-        posting_freqs.extend(term_frequencies[p][term] for p in positions)
+    end = 0
+    for term, n in document_frequency.items():
+        postings[term] = (end, end + n)
+        end += n
+    pairs = np.fromiter(chain.from_iterable(postings_by_term.values()), dtype=np.intp, count=2 * end)
+    posting_docs = np.ascontiguousarray(pairs[0::2])
+    freqs = pairs[1::2].astype(np.float64)
     k1, b = params.k1, params.b
-    norms = [k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths]
+    norms = np.array([k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths], dtype=np.float64)
+    idfs = np.repeat(
+        np.fromiter(idf.values(), dtype=np.float64, count=len(idf)), list(document_frequency.values())
+    )
+    # ``score``'s ``idf * freq * (k1 + 1.0) / (freq + norm)``, left to right.
+    posting_weights = idfs * freqs * (k1 + 1.0) / (freqs + norms[posting_docs])
 
     return Bm25Index(
         params=params,
@@ -162,9 +189,8 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
         document_frequency=document_frequency,
         idf=idf,
         postings=postings,
-        posting_docs=np.array(posting_docs, dtype=np.intp),
-        posting_freqs=np.array(posting_freqs, dtype=np.float64),
-        norms=np.array(norms, dtype=np.float64),
+        posting_docs=posting_docs,
+        posting_weights=posting_weights,
     )
 
 
@@ -192,23 +218,20 @@ def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[s
     """The k best-scoring documents, descending; ties break by corpus position.
 
     Tokenizes the query once, then for each token in order (a repeated
-    token is added again) accumulates ``idf * tf * (k1 + 1) / (tf + norm)``
-    over that term's postings only; documents sharing no term keep 0. The
-    per-document sums are the same IEEE operations in the same order as
-    ``score``, so scores equal it exactly. A stable sort on the negated
-    scores keeps equal scores in corpus order.
+    token is added again) adds that term's ``posting_weights`` to the
+    documents in its postings only; documents sharing no term keep 0. Each
+    weight is the float ``score`` computes for that token and document, and
+    the additions run in ``score``'s order, so scores equal it exactly. A
+    stable sort on the negated scores keeps equal scores in corpus order.
     """
     if config.k > index.doc_count:
         raise ValueError(f"k={config.k} exceeds indexed document count {index.doc_count}")
-    k1_plus_1 = index.params.k1 + 1.0
     scores = np.zeros(index.doc_count)
     for token in tokenize(query):
         span = index.postings.get(token)
         if span is None:
             continue
         start, end = span
-        docs = index.posting_docs[start:end]
-        freqs = index.posting_freqs[start:end]
-        scores[docs] += index.idf[token] * freqs * k1_plus_1 / (freqs + index.norms[docs])
+        scores[index.posting_docs[start:end]] += index.posting_weights[start:end]
     order = np.argsort(-scores, kind="stable")[: config.k]
     return [(index.doc_ids[i], float(scores[i])) for i in order]

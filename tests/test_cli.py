@@ -114,6 +114,23 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "url", ["http://127.0.0.1:abc/v1", "http://127.0.0.1:0/v1", "http://127.0.0.1:70000/v1", "http:///v1"]
+    )
+    def test_malformed_base_url_fails_before_any_request(self, workdir, capsys, monkeypatch, url):
+        def no_client(*args, **kwargs):
+            raise AssertionError("a completion client was built")
+
+        monkeypatch.setattr("emoharness.inference.CompletionClient.__init__", no_client)
+        cfg = run_config(workdir, endpoint={"base_url": url, "model_name": "m"}, mock=None)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: endpoint: base_url ")
+        assert repr(url) in err
+        assert "Traceback" not in err
+        assert not (workdir / "out").exists()
+
+
 class TestScoreCommand:
     def gold_and_predictions(self, workdir):
         cfg = run_config(workdir)

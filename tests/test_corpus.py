@@ -202,6 +202,81 @@ class TestLoadDataset:
         assert snippet.labels["joy"] == 1
 
 
+#: Label cells as a CSV holds them, and what loading them gives on each track:
+#: the label, or the exact message of the ValidationError for row r1's joy column.
+LABEL_CELLS = [
+    ("0", "A", 0),
+    ("1", "A", 1),
+    (" 1", "A", 1),
+    ("1 ", "A", 1),
+    ("01", "A", 1),
+    ("+1", "A", 1),
+    ("3", "B", 3),
+    ("1.0", "A", "row 'r1': column 'joy' has non-integer label '1.0'"),
+    ("", "A", "row 'r1': column 'joy' has non-integer label ''"),
+    ("-0", "A", 0),
+    ("-1", "B", "row 'r1': column 'joy' label -1 outside track B range [0, 3]"),
+    ("2", "A", "row 'r1': column 'joy' label 2 outside track A range [0, 1]"),
+    ("3", "A", "row 'r1': column 'joy' label 3 outside track A range [0, 1]"),
+    ("4", "B", "row 'r1': column 'joy' label 4 outside track B range [0, 3]"),
+    ("yes", "B", "row 'r1': column 'joy' has non-integer label 'yes'"),
+]
+
+
+class TestLabelCells:
+    """Every cell outside the exact in-range digits takes the one checked
+    parse, so its value or message does not depend on which path read it."""
+
+    HEADER = ["id", "text", "anger", "fear", "joy", "sadness", "surprise"]
+
+    @pytest.mark.parametrize("cell, track, want", LABEL_CELLS)
+    def test_cell(self, tmp_path, cell, track, want):
+        es = EmotionSet.for_language("eng")
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(self.HEADER) + f"\nr1,hi,0,0,{cell},0,1\n", encoding="utf-8")
+        if isinstance(want, int):
+            (snippet,) = load_dataset(path, ColumnSchema(), es, track)
+            assert snippet.labels == {"anger": 0, "fear": 0, "joy": want, "sadness": 0, "surprise": 1}
+            assert type(snippet.labels["joy"]) is int
+        else:
+            with pytest.raises(ValidationError) as info:
+                load_dataset(path, ColumnSchema(), es, track)
+            assert str(info.value) == want
+
+    def test_short_row_names_its_first_missing_column(self, tmp_path):
+        # DictReader fills the cells a short row lacks with None.
+        es = EmotionSet.for_language("eng")
+        path = write_rows(tmp_path / "d.csv", self.HEADER, [["r1", "hi", 0, 1, 0, 0, 0], ["r2", "short", 1, 0]])
+        with pytest.raises(ValidationError) as info:
+            load_dataset(path, ColumnSchema(), es, "A")
+        assert str(info.value) == "row 'r2': column 'joy' has non-integer label ''"
+
+    def test_first_bad_column_in_emotion_order_is_named(self, tmp_path):
+        es = EmotionSet.for_language("eng")
+        path = write_rows(tmp_path / "d.csv", self.HEADER, [["r1", "hi", 0, "x", 0, 5, 0]])
+        with pytest.raises(ValidationError) as info:
+            load_dataset(path, ColumnSchema(), es, "A")
+        assert str(info.value) == "row 'r1': column 'fear' has non-integer label 'x'"
+
+    def test_remapped_columns(self, tmp_path):
+        es = EmotionSet.for_language("eng")
+        header = ["id", "text", "Anger", "fear", "Freude", "sadness", "surprise"]
+        schema = ColumnSchema(emotions={"anger": "Anger", "joy": "Freude"})
+        good = write_rows(tmp_path / "good.csv", header, [["r1", "hi", 1, 0, " 1", 0, 0], ["r2", "ho", 0, 1, 0, 0, 1]])
+        assert [s.labels for s in load_dataset(good, schema, es, "A")] == [
+            {"anger": 1, "fear": 0, "joy": 1, "sadness": 0, "surprise": 0},
+            {"anger": 0, "fear": 1, "joy": 0, "sadness": 0, "surprise": 1},
+        ]
+        bad = write_rows(tmp_path / "bad.csv", header, [["r1", "hi", 0, 0, 2, 0, 0]])
+        with pytest.raises(ValidationError) as info:
+            load_dataset(bad, schema, es, "A")
+        assert str(info.value) == "row 'r1': column 'Freude' label 2 outside track A range [0, 1]"
+        # A remapped emotion is read under its mapped name only.
+        unmapped = write_rows(tmp_path / "unmapped.csv", ["id", "text", "Anger", "fear", "joy", "sadness", "surprise"], [])
+        with pytest.raises(SchemaError, match=r"missing column\(s\): Freude$"):
+            load_dataset(unmapped, schema, es, "A")
+
+
 class TestExplode:
     def test_one_snippet_six_instances(self):
         es = EmotionSet.for_language("deu")

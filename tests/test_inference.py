@@ -661,6 +661,9 @@ class TestEndpointConfig:
             {"concurrency_limit": 0},
             {"base_url": "localhost:8000/v1"},
             *({key: value} for key in ("temperature", "timeout") for value in (math.nan, math.inf)),
+            {"base_url": "http://127.0.0.1:abc/v1"},
+            {"base_url": "http://127.0.0.1:0/v1"},
+            {"base_url": "http:///v1"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -214,3 +215,69 @@ class TestTopK:
         index = build_index([("d1", "red fish"), ("d2", "blue bird")], P)
         text = index.describe()
         assert "2" in text and "avgdl" in text
+
+
+def zipf_corpus(rng: random.Random, n_docs: int) -> list[tuple[str, str]]:
+    """Zipf-worded texts whose words come cased and punctuated several ways,
+    with parts that strip to nothing and every fifth text a repost."""
+    words = [f"w{rank}" for rank in range(150)]
+    weights = [1.0 / (rank + 1) for rank in range(150)]
+    spellings = [
+        lambda w: w,
+        str.upper,
+        str.capitalize,
+        lambda w: w + ",",
+        lambda w: f"({w})",
+        lambda w: f"\u00bf{w}?",
+        lambda w: f'"{w}".',
+    ]
+    texts: list[str] = []
+    for _ in range(n_docs):
+        if texts and rng.random() < 0.2:
+            texts.append(rng.choice(texts))
+            continue
+        parts = [rng.choice(spellings)(w) for w in rng.choices(words, weights, k=rng.randint(1, 30))]
+        for _ in range(rng.randint(0, 2)):
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(["--", "...", "!!!", "\u2014"]))
+        texts.append(" ".join(parts))
+    return [(f"d{i:03d}", text) for i, text in enumerate(texts)]
+
+
+class TestTopKEqualsScore:
+    """``top_k`` sums precomputed posting weights; ``score`` recomputes each
+    term's contribution. Both must give the same float for every document."""
+
+    CORPUS = zipf_corpus(random.Random(11), 300)
+    QUERIES = [
+        "W0 w1, (w2) w3",
+        "w0 w0 W0 w7 w7",
+        "w5 oov-1 w9 never-seen w5",
+        "oov-1 oov-2",
+        "!!! -- w149",
+        CORPUS[0][1],
+    ]
+
+    @pytest.mark.parametrize("k1", [0.0, 1.5])
+    @pytest.mark.parametrize("b", [0.0, 0.75, 1.0])
+    def test_full_ranking_equals_score_for_every_document(self, k1, b):
+        index = build_index(self.CORPUS, Bm25Params(k1=k1, b=b))
+        for query in self.QUERIES:
+            full = top_k(index, query, RetrievalConfig(k=index.doc_count))
+            got = dict(full)
+            assert len(got) == index.doc_count
+            want = {doc_id: score(index, query, doc_id) for doc_id, _ in self.CORPUS}
+            assert got == want
+            # Descending, ties in corpus order.
+            assert [doc_id for doc_id, _ in full] == sorted(want, key=lambda d: (-want[d], index.position(d)))
+
+    def test_term_frequencies_match_tokenize(self):
+        index = build_index(self.CORPUS, P)
+        for (_, text), tf in zip(self.CORPUS, index.term_frequencies):
+            assert tf == Counter(tokenize(text))
+
+    def test_corpus_has_the_cases_it_is_built_for(self):
+        texts = [text for _, text in self.CORPUS]
+        assert len(set(texts)) < len(texts)  # reposts
+        parts = {part for text in texts for part in text.split()}
+        assert {"--", "...", "!!!", "\u2014"} & parts  # parts that strip to nothing
+        assert {"w0", "W0", "(w0)"} <= parts  # one word, several spellings

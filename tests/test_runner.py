@@ -283,6 +283,38 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=r"^endpoint: base_url must start with http:// or https://"):
             validate_config(raw)
 
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("http:///v1", "base_url has no host: 'http:///v1'"),
+            ("http://:8000/v1", "base_url has no host: 'http://:8000/v1'"),
+            (
+                "http://127.0.0.1:abc/v1",
+                "base_url has a malformed host or port (Port could not be cast to integer value as 'abc'): "
+                "'http://127.0.0.1:abc/v1'",
+            ),
+            (
+                "http://127.0.0.1:65536/v1",
+                "base_url has a malformed host or port (Port out of range 0-65535): 'http://127.0.0.1:65536/v1'",
+            ),
+            ("http://127.0.0.1:0/v1", "base_url port must be in 1-65535, got 0: 'http://127.0.0.1:0/v1'"),
+            ("http://[::1/v1", "base_url has a malformed host or port (Invalid IPv6 URL): 'http://[::1/v1'"),
+        ],
+        ids=["no-host", "port-only", "non-numeric-port", "port-65536", "port-0", "unclosed-bracket"],
+    )
+    def test_endpoint_base_url_needs_host_and_port(self, url, message):
+        raw = endpoint_raw()
+        raw["endpoint"]["base_url"] = url
+        assert outcome(raw) == f"endpoint: {message}"
+
+    @pytest.mark.parametrize(
+        "url", ["http://127.0.0.1:8000/v1", "https://api.example/v1", "http://[::1]:65535/v1", "http://h:/v1"]
+    )
+    def test_endpoint_base_url_with_host_and_port_passes(self, url):
+        raw = endpoint_raw()
+        raw["endpoint"]["base_url"] = url
+        assert validate_config(raw).endpoint.base_url == url
+
     def test_snapshot_never_contains_secret_values(self, monkeypatch):
         monkeypatch.setenv("EMOHARNESS_API_KEY", "sk-should-not-appear")
         raw = minimal_raw(endpoint={"base_url": "http://h", "model_name": "m"})
