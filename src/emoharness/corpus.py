@@ -151,12 +151,12 @@ class ColumnSchema:
 
 def _parse_label_cell(value: str | None, track: str, row_id: str, column: str) -> int:
     raw = (value or "").strip()
-    try:
-        label = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"row {row_id!r}: column {column!r} has non-integer label {raw!r}"
-        ) from None
+    # An optional sign, then ASCII digits only: int() alone would also read
+    # non-ASCII digits ("١" as 1) and underscores ("1_0" as 10).
+    digits = raw[1:] if raw[:1] in ("+", "-") else raw
+    if not digits or digits.strip(ASCII_DIGITS):
+        raise ValidationError(f"row {row_id!r}: column {column!r} has non-integer label {raw!r}")
+    label = int(raw)
     lo, hi = LABEL_RANGES[track]
     if not lo <= label <= hi:
         raise ValidationError(

@@ -8,6 +8,7 @@ training hyperparameters verbatim.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -31,6 +32,7 @@ LEARNING_RATES = {"track_a": 2e-5, "track_b": 5e-5}
 
 # Built once: ``json.dumps(..., ensure_ascii=False)`` builds a new encoder per call.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
+_BATCH_LINES = 4096  # SFT lines per write: a few MB, never the whole file
 
 
 def _escape(s: str) -> str:
@@ -86,22 +88,32 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
             f"got track {mismatched[0].track} (snippet {mismatched[0].snippet_id!r})"
         )
     out = Path(out)
-    per_emotion: dict[str, int] = {}
-    # Each text and display name is escaped once, not once per line. The two
-    # caches stay apart: a text may equal a language code such as "deu".
-    texts: dict[str, str] = {}
-    languages: dict[str, str] = {}
-    with out.open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            text = texts.get(inst.text)
-            if text is None:
-                text = texts[inst.text] = _escape(inst.text)
-            language = languages.get(inst.language)
-            if language is None:
-                language = languages[inst.language] = _escape(display_name(inst.language))
-            instruction = render_zero_shot(template_id, text, language, inst.emotion)
-            fh.write('{"instruction": "' + instruction + '", "output": "' + str(inst.gold) + '"}\n')
-            per_emotion[inst.emotion] = per_emotion.get(inst.emotion, 0) + 1
+    # A line is head + escaped text + tail, fixed by language, emotion, gold and its type
+    # (True == 1 prints apart). A prompt rendered with "\x00" as its text splits in two there:
+    # JSON escapes a raw "\x00"; _check_escape_free keeps it out of the literals (unpacking checks).
+    prompts: dict[tuple[str, str], list[str]] = {}
+    frames: dict[tuple[str, str, int, type], tuple[bytes, bytes]] = {}
+    texts: dict[str, bytes] = {}
+    with out.open("wb") as fh:
+        for start in range(0, len(instances), _BATCH_LINES):
+            pieces: list[bytes] = []
+            for inst in instances[start : start + _BATCH_LINES]:
+                key = (inst.language, inst.emotion, inst.gold, type(inst.gold))
+                frame = frames.get(key)
+                if frame is None:
+                    pair = key[:2]
+                    if pair not in prompts:
+                        language = _escape(display_name(inst.language))
+                        prompts[pair] = render_zero_shot(template_id, "\x00", language, inst.emotion).split("\x00")
+                    head, tail = prompts[pair]
+                    frame = frames[key] = (
+                        f'{{"instruction": "{head}'.encode(), f'{tail}", "output": "{inst.gold!s}"}}\n'.encode()
+                    )
+                text = texts.get(inst.text)
+                if text is None:
+                    text = texts[inst.text] = _escape(inst.text).encode("utf-8")
+                pieces += (frame[0], text, frame[1])
+            fh.write(b"".join(pieces))
 
     _write_json(
         out.with_suffix(".meta.json"),
@@ -109,8 +121,8 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
             "template_id": template_id,
             "hyperparameters": dict(HYPERPARAMETERS, learning_rate=LEARNING_RATES[template_id]),
             "instances": len(instances),
-            "per_emotion": per_emotion,
-            "languages": sorted({i.language for i in instances}),
+            "per_emotion": Counter(i.emotion for i in instances),
+            "languages": sorted({language for language, _ in prompts}),
         },
     )
 

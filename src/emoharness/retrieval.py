@@ -221,8 +221,9 @@ def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[s
     token is added again) adds that term's ``posting_weights`` to the
     documents in its postings only; documents sharing no term keep 0. Each
     weight is the float ``score`` computes for that token and document, and
-    the additions run in ``score``'s order, so scores equal it exactly. A
-    stable sort on the negated scores keeps equal scores in corpus order.
+    the additions run in ``score``'s order, so scores equal it exactly. Only
+    the documents scoring at least the k-th largest score are sorted; a
+    stable sort on their negated scores keeps equal scores in corpus order.
     """
     if config.k > index.doc_count:
         raise ValueError(f"k={config.k} exceeds indexed document count {index.doc_count}")
@@ -233,5 +234,7 @@ def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[s
             continue
         start, end = span
         scores[index.posting_docs[start:end]] += index.posting_weights[start:end]
-    order = np.argsort(-scores, kind="stable")[: config.k]
+    kth = np.partition(scores, -config.k)[-config.k]
+    candidates = np.flatnonzero(scores >= kth)
+    order = candidates[np.argsort(-scores[candidates], kind="stable")[: config.k]]
     return [(index.doc_ids[i], float(scores[i])) for i in order]

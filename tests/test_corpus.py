@@ -220,6 +220,9 @@ LABEL_CELLS = [
     ("3", "A", "row 'r1': column 'joy' label 3 outside track A range [0, 1]"),
     ("4", "B", "row 'r1': column 'joy' label 4 outside track B range [0, 3]"),
     ("yes", "B", "row 'r1': column 'joy' has non-integer label 'yes'"),
+    ("\u0661", "A", "row 'r1': column 'joy' has non-integer label '\u0661'"),
+    ("1_0", "A", "row 'r1': column 'joy' has non-integer label '1_0'"),
+    ("+-1", "A", "row 'r1': column 'joy' has non-integer label '+-1'"),
 ]
 
 

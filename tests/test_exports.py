@@ -82,9 +82,11 @@ class TestExportSftDataset:
     def test_empty_instances(self, tmp_path):
         out = tmp_path / "sft.jsonl"
         export_sft_dataset([], "A", out)
-        assert out.read_text(encoding="utf-8") == ""
+        assert out.read_bytes() == b""
         meta = json.loads((tmp_path / "sft.meta.json").read_text(encoding="utf-8"))
         assert meta["instances"] == 0
+        assert meta["per_emotion"] == {}
+        assert meta["languages"] == []
 
     def test_metadata_carries_hyperparameters_verbatim(self, tmp_path):
         out = tmp_path / "sft.jsonl"
@@ -125,11 +127,12 @@ def escape_instances(track, count=400, seed=7):
     """Instances whose texts and language codes stress JSON escaping.
 
     Texts repeat across instances; some texts equal a language code, and
-    some unknown codes (shown as themselves) hold quotes or backslashes.
+    some unknown codes (shown as themselves) hold quotes or backslashes. A
+    text and a code hold "\x00", the character the writer splits prompts at.
     """
     rng = random.Random(seed)
-    languages = ["eng", "deu", 'x"y', "a\\b", "q\u2028\x01"]
-    texts = [escape_text(rng) for _ in range(60)] + languages
+    languages = ["eng", "deu", 'x"y', "a\\b", "q\u2028\x01", "n\x00l"]
+    texts = [escape_text(rng) for _ in range(60)] + languages + ["\x00", "a\x00b\x00"]
     hi = 1 if track == "A" else 3
     return [
         inst(
@@ -162,8 +165,28 @@ class TestExportBytes:
         )
         assert out.read_bytes() == expected.encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "count",
+        [exports._BATCH_LINES + 1, 2 * exports._BATCH_LINES],
+        ids=["batch-and-one", "two-batches"],
+    )
+    def test_lines_across_write_batches(self, tmp_path, count):
+        instances = escape_instances("B", count=count)
+        out = tmp_path / "sft.jsonl"
+        export_sft_dataset(instances, "B", out)
+        expected = "".join(
+            _encode_line({
+                "instruction": render_zero_shot("track_b", i.text, display_name(i.language), i.emotion),
+                "output": str(i.gold),
+            })
+            + "\n"
+            for i in instances
+        )
+        assert out.read_bytes() == expected.encode("utf-8")
+
     def test_renders_through_the_module_name(self, tmp_path, monkeypatch):
-        # bench/child.py counts prompt renders by wrapping this name.
+        # bench/child.py counts prompt renders by wrapping this name. The
+        # writer renders each (language, emotion) pair once, not each line.
         calls = []
 
         def counting(*args):
@@ -174,8 +197,21 @@ class TestExportBytes:
         instances = escape_instances("A", count=50)
         out = tmp_path / "sft.jsonl"
         export_sft_dataset(instances, "A", out)
+        pairs = {(exports._escape(display_name(i.language)), i.emotion) for i in instances}
+        assert sorted(args[2:] for args in calls) == sorted(pairs)
         # JSON escapes newlines inside strings, so each raw one ends a line.
-        assert len(calls) == out.read_bytes().count(b"\n") == 50
+        assert out.read_bytes().count(b"\n") == 50
+
+    def test_golds_that_compare_equal_print_apart(self, tmp_path):
+        # Hand-built instances may hold any gold; each prints as str() does.
+        instances = [inst(f"s{i}", "x", "joy", gold) for i, gold in enumerate([1, True, 1.0, 0, False])]
+        out = tmp_path / "sft.jsonl"
+        export_sft_dataset(instances, "A", out)
+        assert [line["output"] for line in read_jsonl(out)] == ["1", "True", "1.0", "0", "False"]
+
+    def test_lone_surrogate_still_fails_to_encode(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            export_sft_dataset([inst("s1", "bad \ud800", "joy", 1)], "A", tmp_path / "sft.jsonl")
 
     def test_escaping_template_literal_fails_at_import(self, monkeypatch):
         monkeypatch.setattr(exports, "_TEMPLATE_PARTS", {"quoted": ('Say "', "text", '" now')})

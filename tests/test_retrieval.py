@@ -217,6 +217,31 @@ class TestTopK:
         assert "2" in text and "avgdl" in text
 
 
+class TestTopKPartition:
+    """``top_k`` sorts only the documents at or above the k-th largest score;
+    the result must equal a stable sort of every document."""
+
+    # Reposts give exact ties, so for most k the tie spans the k-th place.
+    CORPUS = [(f"d{i}", text) for i, text in enumerate(["red fish", "red", "blue red", "red"] * 3 + ["green"])]
+
+    def full_sort(self, index, query, k):
+        scores = {doc_id: score(index, query, doc_id) for doc_id, _ in self.CORPUS}
+        ranked = sorted(scores, key=lambda d: (-scores[d], index.position(d)))
+        return [(doc_id, scores[doc_id]) for doc_id in ranked[:k]]
+
+    @pytest.mark.parametrize("query", ["red", "red fish", "purple"], ids=["ties", "mixed", "all-zero"])
+    def test_every_k_equals_the_full_stable_sort(self, query):
+        index = build_index(self.CORPUS, P)
+        for k in range(1, index.doc_count + 1):
+            assert top_k(index, query, RetrievalConfig(k=k)) == self.full_sort(index, query, k)
+
+    def test_the_cases_occur(self):
+        index = build_index(self.CORPUS, P)
+        ranked = [s for _, s in self.full_sort(index, "red", index.doc_count)]
+        assert ranked[1] == ranked[2] and ranked[0] != ranked[-1]  # a tie straddles k=2
+        assert {s for _, s in self.full_sort(index, "purple", index.doc_count)} == {0.0}
+
+
 def zipf_corpus(rng: random.Random, n_docs: int) -> list[tuple[str, str]]:
     """Zipf-worded texts whose words come cased and punctuated several ways,
     with parts that strip to nothing and every fifth text a repost."""
