@@ -149,6 +149,28 @@ class ColumnSchema:
         return self.emotions.get(emotion, emotion)
 
 
+def label_range(track: str) -> tuple[int, int]:
+    """The inclusive ``(lo, hi)`` label range of ``track``; raises ValueError
+    for an unknown track."""
+    # Membership in the tuple, not the dict: an unhashable track is unknown,
+    # not a TypeError.
+    if track not in TRACKS:
+        raise ValueError(f"unknown track {track!r}")
+    return LABEL_RANGES[track]
+
+
+def check_labels(snippet_id: str, labels: dict, track: str) -> None:
+    """Raise :class:`ValidationError` unless every ``{emotion: label}`` value
+    is an int, not a bool, in ``track``'s range."""
+    lo, hi = label_range(track)
+    for emotion, label in labels.items():
+        if type(label) is not int or not lo <= label <= hi:
+            raise ValidationError(
+                f"snippet {snippet_id!r}: {emotion} label {label!r} is not an "
+                f"integer in track {track} range [{lo}, {hi}]"
+            )
+
+
 def _parse_label_cell(value: str | None, track: str, row_id: str, column: str) -> int:
     raw = (value or "").strip()
     # An optional sign, then ASCII digits only: int() alone would also read
@@ -177,11 +199,10 @@ def load_dataset(
     A leading byte order mark, as spreadsheet exports write, is skipped.
 
     Row order is preserved. Raises :class:`SchemaError` when the file cannot
-    be read as UTF-8 or a mapped column is absent and :class:`ValidationError`
-    for bad labels, empty texts or duplicate ids.
+    be read as UTF-8 or a mapped column is absent or repeated, and
+    :class:`ValidationError` for bad labels, empty texts or duplicate ids.
     """
-    if track not in TRACKS:
-        raise ValueError(f"unknown track {track!r}")
+    lo, hi = label_range(track)
     path = Path(path)
     try:
         with path.open(encoding="utf-8-sig", newline="") as fh:
@@ -192,9 +213,12 @@ def load_dataset(
             missing = [c for c in required if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+            # DictReader would keep the last of two same-named columns.
+            repeated = [c for c in dict.fromkeys(required) if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"{path}: duplicate column(s): {', '.join(repeated)}")
             # The exact in-range cells; anything else (" 1", "01", "", None)
             # goes through _parse_label_cell, which accepts or names it.
-            lo, hi = LABEL_RANGES[track]
             cells = {str(label): label for label in range(lo, hi + 1)}
             snippets: list[Snippet] = []
             seen: set[str] = set()
@@ -219,31 +243,22 @@ def load_dataset(
     return snippets
 
 
-def validate_snippets(snippets: list[Snippet], emotion_set: EmotionSet, track: str) -> None:
-    """Check label key sets and ranges; raises :class:`ValidationError`."""
-    expected = set(emotion_set)
-    lo, hi = LABEL_RANGES[track]
-    for snippet in snippets:
-        if set(snippet.labels) != expected:
-            raise ValidationError(
-                f"snippet {snippet.id!r}: label keys {sorted(snippet.labels)} "
-                f"do not match emotion set {list(emotion_set)}"
-            )
-        for emotion, label in snippet.labels.items():
-            if type(label) is not int or not lo <= label <= hi:
-                raise ValidationError(
-                    f"snippet {snippet.id!r}: {emotion} label {label!r} is not an "
-                    f"integer in track {track} range [{lo}, {hi}]"
-                )
-
-
 def explode(snippets: list[Snippet], emotion_set: EmotionSet, track: str) -> list[TaskInstance]:
     """Turn every snippet into one instance per emotion.
 
     Output order is snippet order crossed with emotion-set order, so
-    ``len(result) == len(snippets) * len(emotion_set)``.
+    ``len(result) == len(snippets) * len(emotion_set)``. Raises
+    :class:`ValidationError` when a snippet's label keys differ from the
+    emotion set or a label fails :func:`check_labels`.
     """
-    validate_snippets(snippets, emotion_set, track)
+    expected = set(emotion_set)
+    for s in snippets:
+        if s.labels.keys() != expected:
+            raise ValidationError(
+                f"snippet {s.id!r}: label keys {sorted(s.labels)} "
+                f"do not match emotion set {list(emotion_set)}"
+            )
+        check_labels(s.id, s.labels, track)
     return [
         TaskInstance(s.id, s.text, s.language, emotion, s.labels[emotion], track)
         for s in snippets

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import LABEL_RANGES, TRACK_A, TRACK_B, TRACKS, EmotionSet
+from .corpus import TRACK_A, TRACK_B, TRACKS, EmotionSet, check_labels
 from .errors import AlignmentError, CompletenessError, ValidationError
 from .inference import PredictionRecord
 
@@ -32,13 +32,7 @@ class LabelVector:
             raise ValidationError(f"unknown track {self.track!r}")
         if not self.values:
             raise ValidationError(f"snippet {self.snippet_id!r}: empty label vector")
-        lo, hi = LABEL_RANGES[self.track]
-        for emotion, value in self.values.items():
-            if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
-                raise ValidationError(
-                    f"snippet {self.snippet_id!r}: {emotion} value {value!r} "
-                    f"outside track {self.track} range [{lo}, {hi}]"
-                )
+        check_labels(self.snippet_id, self.values, self.track)
 
 
 @dataclass

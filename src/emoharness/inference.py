@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
-from .corpus import ASCII_DIGITS, LABEL_RANGES, TRACKS
+from .corpus import ASCII_DIGITS, check_labels, label_range
 from .errors import ConfigError, ProtocolError, TransportError
 
 log = logging.getLogger(__name__)
@@ -126,29 +126,18 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PredictionRecord":
-        """Rebuild a record from ``as_dict`` output; a bad or missing field raises ValueError."""
+        """Rebuild a record from ``as_dict`` output, ignoring extra keys; a bad
+        or missing field raises ValueError, a bad ``parsed`` ValidationError."""
         for f in fields(cls):
             if f.name not in payload:
                 raise ValueError(f"missing key {f.name!r}")
-        track = payload["track"]
-        if track not in TRACKS:
-            raise ValueError(f"unknown track {track!r}")
+        label_range(payload["track"])
         for name in ("snippet_id", "emotion", "raw_text"):
             if not isinstance(payload[name], str):
                 raise ValueError(f"{name} must be a string, got {payload[name]!r}")
-        parsed = payload["parsed"]
-        lo, hi = LABEL_RANGES[track]
-        if parsed is not None and (type(parsed) is not int or not lo <= parsed <= hi):
-            raise ValueError(
-                f"parsed must be null or an integer {lo}-{hi} for track {track}, got {parsed!r}"
-            )
-        return cls(
-            snippet_id=payload["snippet_id"],
-            emotion=payload["emotion"],
-            track=payload["track"],
-            raw_text=payload["raw_text"],
-            parsed=payload["parsed"],
-        )
+        if payload["parsed"] is not None:
+            check_labels(payload["snippet_id"], {payload["emotion"]: payload["parsed"]}, payload["track"])
+        return cls(*(payload[f.name] for f in fields(cls)))
 
 
 def parse_label(raw_text: str, track: str) -> int | None:
@@ -158,9 +147,7 @@ def parse_label(raw_text: str, track: str) -> int | None:
     is the label, out of range it is a failure. Non-ASCII digits do not
     count. Failures are data, not errors; scoring resolves them to 0.
     """
-    if track not in TRACKS:
-        raise ValueError(f"unknown track {track!r}")
-    lo, hi = LABEL_RANGES[track]
+    lo, hi = label_range(track)
     for ch in raw_text:
         if ch in ASCII_DIGITS:
             value = int(ch)

@@ -90,7 +90,7 @@ def _finite_number(value) -> bool:
 #: ``from __future__ import annotations``.
 _CHECKS = {
     "str": ("a non-empty string", _non_empty_str, str),
-    "Path": ("a non-empty string", _non_empty_str, Path),
+    "Path": ("a non-empty string without NUL", lambda v: _non_empty_str(v) and "\x00" not in v, Path),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
     "float": ("a finite number", _finite_number, float),
     "bool": ("true/false", lambda v: isinstance(v, bool), bool),
@@ -277,10 +277,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+        # PyYAML's message spans lines; an error is reported as one line.
+        raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
     return validate_config(raw, base_dir=path.parent)
 
 

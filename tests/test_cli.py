@@ -1,5 +1,6 @@
 """Command line entry points, driven through main() with argv lists."""
 
+import csv
 import json
 import random
 from dataclasses import fields, replace
@@ -257,6 +258,7 @@ class TestScoreCommand:
         [
             pytest.param("track", "C", id="track-unknown"),
             pytest.param("track", None, id="track-null"),
+            pytest.param("track", ["A"], id="track-unhashable"),
             pytest.param("snippet_id", ["a"], id="snippet-id-list"),
             pytest.param("emotion", 3, id="emotion-not-a-string"),
             pytest.param("raw_text", None, id="raw-text-null"),
@@ -356,6 +358,61 @@ class TestRetrieveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {names.format(workdir=workdir)}:")
         assert "Traceback" not in err
+
+
+def append_columns(path, names):
+    """Append columns to a CSV; a column named like an existing one repeats its cells."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + names)
+        writer.writerows(row + [row[header.index(n)] if n in header else "x" for n in names] for row in rows)
+
+
+class TestInputsRejectedByName:
+    @pytest.mark.parametrize("command", ["run", "export-sft", "retrieve"])
+    def test_config_not_utf8_is_an_error(self, workdir, capsys, command):
+        cfg = run_config(workdir)
+        cfg.write_bytes(cfg.read_bytes() + "language: é\n".encode("latin-1"))
+        argv = [command, str(cfg)] + (["--query", "joy"] if command == "retrieve" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: cannot read config: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("run", "output_dir"), ("run", "dataset.test"), ("retrieve", "dataset.train")],
+    )
+    def test_nul_in_a_path_names_the_key(self, workdir, capsys, command, key):
+        raw = {"strategy": "few_shot", "dataset": {"test": "test.csv", "train": "train.csv"}}
+        section, _, name = key.rpartition(".")
+        (raw[section] if section else raw)[name] = "o\x00"
+        cfg = run_config(workdir, **raw)
+        argv = [command, str(cfg)] + (["--query", "joy"] if command == "retrieve" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: expected a non-empty string without NUL, got 'o\\x00'\n"
+
+    @pytest.mark.parametrize(
+        "names, repeated",
+        [
+            pytest.param(["id"], "id", id="id"),
+            pytest.param(["joy"], "joy", id="emotion"),
+            pytest.param(["fear", "joy"], "fear, joy", id="two-emotions"),
+            pytest.param(["note", "note"], None, id="unmapped"),
+        ],
+    )
+    def test_repeated_mapped_column_is_an_error(self, workdir, capsys, names, repeated):
+        append_columns(workdir / "test.csv", names)
+        cfg = run_config(workdir)
+        if repeated is None:  # unmapped columns may repeat
+            assert main(["run", str(cfg)]) == 0
+            return
+        assert main(["run", str(cfg)]) == 1
+        test_csv = workdir / "test.csv"
+        assert capsys.readouterr().err == f"error: [stage=load] {test_csv}: duplicate column(s): {repeated}\n"
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

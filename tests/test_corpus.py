@@ -10,6 +10,8 @@ from emoharness import (
     EMOTIONS,
     ColumnSchema,
     EmotionSet,
+    LabelVector,
+    PredictionRecord,
     SchemaError,
     Snippet,
     TaskInstance,
@@ -327,6 +329,26 @@ class TestExplode:
         s = Snippet("x", "hi", "eng", {"joy": label, "fear": 0})
         with pytest.raises(ValidationError, match=rf"'x': joy label {label!r} is not an integer"):
             explode([s], es, track)
+
+
+def _explode_one(label):
+    explode([Snippet("x", "hi", "eng", {"joy": label})], EmotionSet("eng", ("joy",)), "A")
+
+
+def _label_vector(label):
+    LabelVector("x", {"joy": label}, "A")
+
+
+def _prediction_record(label):
+    PredictionRecord.from_dict({"snippet_id": "x", "emotion": "joy", "track": "A", "raw_text": "", "parsed": label})
+
+
+@pytest.mark.parametrize("label", [True, 2, -1, 1.0, "1"])
+@pytest.mark.parametrize("accept", [_explode_one, _label_vector, _prediction_record])
+def test_every_layer_rejects_a_bad_label_in_one_message(accept, label):
+    with pytest.raises(ValidationError) as info:
+        accept(label)
+    assert str(info.value) == f"snippet 'x': joy label {label!r} is not an integer in track A range [0, 1]"
 
 
 def _class_counts(instances):

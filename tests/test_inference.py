@@ -677,10 +677,12 @@ class TestPredictionRecord:
         assert PredictionRecord.from_dict(record.as_dict()) == record
 
     def test_failure_round_trip_keeps_raw_text(self):
-        record = PredictionRecord("s1", "joy", "A", "definitely yes", None)
-        loaded = PredictionRecord.from_dict(json.loads(json.dumps(record.as_dict())))
-        assert loaded.parsed is None
-        assert loaded.raw_text == "definitely yes"
+        # An endpoint may answer with empty content; its record must load back.
+        for raw_text in ("definitely yes", ""):
+            record = PredictionRecord("s1", "joy", "A", raw_text, None)
+            loaded = PredictionRecord.from_dict(json.loads(json.dumps(record.as_dict())))
+            assert loaded.parsed is None
+            assert loaded.raw_text == raw_text
 
     def test_label_or_zero(self):
         assert PredictionRecord("s", "joy", "A", "x", None).label_or_zero == 0

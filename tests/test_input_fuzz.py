@@ -1,0 +1,356 @@
+"""Boundary fuzz gate: malformed configs, CSVs, prediction lines and argument
+lists, each run through ``cli.main`` in-process.
+
+Every case must return 0 or 1, or exit 2 from argparse on an argument case,
+and print no traceback; a failure prints one ``error: `` line. The cases come
+from a seeded stdlib generator, in the style of ``datagen.py``, so a case id
+names the same input on every run.
+"""
+
+import copy
+import csv
+import io
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+import yaml
+
+from emoharness import EmotionSet
+from emoharness.cli import main
+from datagen import make_snippets, write_csv
+
+ES = EmotionSet.for_language("eng")
+
+#: Values a config key or a prediction field is set to.
+ODD_VALUES = [
+    None, True, False, math.nan, math.inf, 2**70, -1, 0, 1.5,
+    "", "\x00", "a\x00b", "é", "0", [], ["A"], {}, {"k": 1},
+]
+
+#: Config per command; ``retrieve`` reads the ``run`` config.
+CONFIGS = {
+    "run": {
+        "track": "A",
+        "language": "eng",
+        "strategy": "few_shot",
+        "seed": 3,
+        "output_dir": "out",
+        "dataset": {"test": "test.csv", "train": "train.csv"},
+        "mock": "keyword",
+        "emotions": list(ES.emotions),
+        "columns": {"id": "id", "text": "text", "emotions": {"joy": "joy"}},
+        "bm25": {"k1": 1.2, "b": 0.75, "idf_floor_epsilon": 0.25},
+        "retrieval": {"k": 2},
+    },
+    "export-sft": {
+        "track": "A",
+        "language": "eng",
+        "strategy": "export_sft",
+        "seed": 3,
+        "output_dir": "out",
+        "dataset": {"train": "train.csv"},
+        "oversample": True,
+    },
+}
+
+
+def _key_paths(mapping, prefix=""):
+    for key, value in mapping.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+def make_workdir(path):
+    """train.csv, test.csv (eng, track A), one config per command and a
+    predictions file with a record for every test (snippet, emotion)."""
+    rng = random.Random(11)
+    write_csv(path / "train.csv", make_snippets(rng, 8, ES, "A", prefix="t"), ES)
+    test = make_snippets(rng, 5, ES, "A")
+    write_csv(path / "test.csv", test, ES)
+    for command, raw in CONFIGS.items():
+        (path / f"{command}.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+    records = [
+        {"snippet_id": s.id, "emotion": e, "track": "A", "raw_text": str(s.labels[e]), "parsed": s.labels[e]}
+        for s in test
+        for e in ES
+    ]
+    (path / "preds.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def argv_for(command, path):
+    """An argument list that runs ``command`` on the workdir's inputs."""
+    if command == "score":
+        return ["score", str(path / "test.csv"), str(path / "preds.jsonl"), "--language", "eng"]
+    if command == "retrieve":
+        return ["retrieve", str(path / "run.yaml"), "--query", "joy rain"]
+    return [command, str(path / f"{command}.yaml")]
+
+
+# --- configs ---------------------------------------------------------------
+
+
+def config_value_case(rng):
+    command = rng.choice(["run", "export-sft", "retrieve"])
+    raw = copy.deepcopy(CONFIGS["export-sft" if command == "export-sft" else "run"])
+    key = rng.choice(list(_key_paths(raw)) + ["extra", "bm25.extra", "endpoint", "endpoint.timeout"])
+    value = rng.choice(ODD_VALUES)
+    *sections, name = key.split(".")
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+
+    def setup(path):
+        (path / "case.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+        argv = argv_for(command, path)
+        argv[1] = str(path / "case.yaml")
+        return argv
+
+    return f"{command}-{key}={value!r}", setup
+
+
+#: Whole-file config cases: the bytes written, or a workdir file named as the config.
+CONFIG_FILES = {
+    "not-utf8": "language: é\n".encode("latin-1"),
+    "bom": b"\xef\xbb\xbf" + yaml.safe_dump(CONFIGS["run"]).encode(),
+    "nul-byte": b"track: A\x00\n",
+    "empty": b"",
+    "list-root": b"- a\n- b\n",
+    "scalar-root": b"42\n",
+    "unclosed-flow": b"track: [A\nlanguage: eng\n",
+    "tab-indent": b"dataset:\n\ttest: test.csv\n",
+    "duplicate-key": b"track: A\ntrack: B\n",
+    "csv-as-config": "test.csv",
+    "jsonl-as-config": "preds.jsonl",
+    "directory-as-config": ".",
+    "missing": "absent.yaml",
+}
+
+
+def config_file_case(name, content):
+    def setup(path):
+        if isinstance(content, bytes):
+            (path / "case.yaml").write_bytes(content)
+            return ["run", str(path / "case.yaml")]
+        return ["run", str(path / content)]
+
+    return f"config-file-{name}", setup
+
+
+# --- CSVs ------------------------------------------------------------------
+
+
+def _rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def _csv(rows):
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _set_cell(column, value):
+    def mutate(text, rng):
+        rows = _rows(text)
+        rows[rng.randrange(1, len(rows))][rows[0].index(column)] = value
+        return _csv(rows)
+
+    return mutate
+
+
+def _edit_row(edit):
+    def mutate(text, rng):
+        rows = _rows(text)
+        i = rng.randrange(1, len(rows))
+        rows[i] = edit(rows[i])
+        return _csv(rows)
+
+    return mutate
+
+
+def _repeat_column(column):
+    def mutate(text, rng):
+        rows = _rows(text)
+        j = rows[0].index(column)
+        return _csv([row + [row[j]] for row in rows])
+
+    return mutate
+
+
+def _duplicate_id(text, rng):
+    rows = _rows(text)
+    rows[2][0] = rows[1][0]
+    return _csv(rows)
+
+
+#: Each maps the CSV's text to new text, or to bytes where it must not be UTF-8.
+CSV_MUTATIONS = {
+    "bom": lambda t, rng: "\ufeff" + t,
+    "double-bom": lambda t, rng: "\ufeff\ufeff" + t,
+    "crlf": lambda t, rng: t.replace("\n", "\r\n"),
+    "cr-only": lambda t, rng: t.replace("\n", "\r"),
+    "quoted-newline": _set_cell("text", "two\nlines"),
+    "unterminated-quote": lambda t, rng: t + 's9,"never closed,0,0,0,0,0\n',
+    "missing-header": lambda t, rng: t.split("\n", 1)[1],
+    "header-drops-a-column": lambda t, rng: t.replace("joy,", "", 1),
+    "duplicate-id-column": _repeat_column("id"),
+    "duplicate-emotion-column": _repeat_column("joy"),
+    "not-utf8": lambda t, rng: t.replace("\n", "\ncaf\xe9 ", 2).encode("latin-1"),
+    "stray-0xff": lambda t, rng: t.encode() + b"\xff\n",
+    "empty": lambda t, rng: "",
+    "header-only": lambda t, rng: t.split("\n", 1)[0] + "\n",
+    "short-row": _edit_row(lambda row: row[:-1]),
+    "long-row": _edit_row(lambda row: row + ["1"]),
+    "nul-in-text": _set_cell("text", "a\x00b"),
+    "arabic-indic-label": _set_cell("joy", "١"),
+    "padded-label": _set_cell("joy", " 1"),
+    "decimal-label": _set_cell("joy", "1.0"),
+    "empty-label": _set_cell("joy", ""),
+    "signed-label": _set_cell("joy", "+1"),
+    "out-of-range-label": _set_cell("joy", "2"),
+    "huge-label": _set_cell("joy", "9" * 30),
+    "underscore-label": _set_cell("joy", "1_0"),
+    "empty-id": _set_cell("id", " "),
+    "blank-text": _set_cell("text", "   "),
+    "duplicate-id": _duplicate_id,
+    "oversized-field": _set_cell("text", "x" * 140_000),
+}
+
+
+def csv_case(name, command, seed):
+    target = "test.csv" if command in ("run", "score") else "train.csv"
+
+    def setup(path):
+        text = (path / target).read_text(encoding="utf-8")
+        data = CSV_MUTATIONS[name](text, random.Random(seed))
+        (path / target).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        return argv_for(command, path)
+
+    return f"csv-{name}-{command}", setup
+
+
+# --- prediction lines ------------------------------------------------------
+
+#: Replacement texts for one predictions line; "\udcff" is written as the byte 0xff.
+PREDICTION_LINES = ["[]", "1", '"s"', "null", "{", "{}", "NaN", '{"snippet_id": }', "\x00", "\udcff{}"]
+
+#: Whole-file edits of the predictions lines.
+PREDICTION_FILES = {
+    "empty": lambda lines: [],
+    "blank-lines": lambda lines: ["", "  "],
+    "bom": lambda lines: ["\ufeff" + lines[0]] + lines[1:],
+    "repeated-line": lambda lines: lines + lines[:1],
+    "missing-line": lambda lines: lines[1:],
+    "all-track-b": lambda lines: [x.replace('"track": "A"', '"track": "B"') for x in lines],
+    "one-track-b": lambda lines: [lines[0].replace('"track": "A"', '"track": "B"')] + lines[1:],
+}
+
+
+def prediction_case(rng):
+    i = rng.randrange(len(ES) * 5)
+    field = rng.choice(["snippet_id", "emotion", "track", "raw_text", "parsed"])
+    value = rng.choice(ODD_VALUES + ["love", "B", "s9999", 3, "1"])
+    kind = rng.choice(["value", "value", "value", "drop", "extra", "line", "file"])
+    line = rng.choice(PREDICTION_LINES)
+    file_edit = rng.choice(list(PREDICTION_FILES))
+    marginalise = rng.random() < 0.2
+
+    def setup(path):
+        preds = path / "preds.jsonl"
+        records = [json.loads(x) for x in preds.read_text(encoding="utf-8").splitlines()]
+        if kind == "value":
+            records[i][field] = value
+        elif kind == "drop":
+            del records[i][field]
+        elif kind == "extra":
+            records[i]["confidence"] = value
+        lines = [json.dumps(r) for r in records]
+        if kind == "line":
+            lines[i] = line
+        elif kind == "file":
+            lines = PREDICTION_FILES[file_edit](lines)
+        preds.write_bytes("".join(x + "\n" for x in lines).encode("utf-8", "surrogateescape"))
+        return argv_for("score", path) + ["--marginalise"] * marginalise
+
+    detail = {"value": f"{field}={value!r}", "drop": field, "extra": repr(value), "line": repr(line), "file": file_edit}
+    return f"predictions-{kind}-{detail[kind]}" + " --marginalise" * marginalise, setup
+
+
+# --- argument lists --------------------------------------------------------
+
+#: Argument values; "{d}" stands for the workdir.
+ARGV_PATHS = [
+    "{d}/run.yaml", "{d}/export-sft.yaml", "{d}/test.csv", "{d}/preds.jsonl", "{d}/absent.yaml", "{d}", "", "-",
+]
+#: Options by the command that takes them.
+ARGV_OPTIONS = {
+    "retrieve": [["--query", ""], ["--query", "!!!"], ["-k", "0"], ["-k", "-1"], ["-k", "2"], ["-k", "abc"],
+                 ["-k", str(2**70)]],
+    "score": [["--language", "deu"], ["--language", ""], ["--language", "xx"], ["--marginalise"],
+              ["--json-out", "{d}/report.json"], ["--json-out", "{d}"], ["--json-out", "{d}/absent/r.json"]],
+}
+
+
+def argv_case(rng):
+    """A working argument list with one or two edits: a positional swapped
+    for another path, an option added, or an argument dropped."""
+    command = rng.choice(["run", "score", "export-sft", "retrieve"])
+    argv = argv_for(command, Path("{d}"))
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.choice(["path", "option", "option", "drop"]) if argv else "option"
+        if edit == "path":
+            argv[rng.randrange(len(argv))] = rng.choice(ARGV_PATHS)
+        elif edit == "option":
+            # Mostly an option of this command; now and then one it does not take.
+            owner = command if command in ARGV_OPTIONS and rng.random() < 0.8 else rng.choice(list(ARGV_OPTIONS))
+            argv += rng.choice(ARGV_OPTIONS[owner])
+        else:
+            del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.2:
+        argv.insert(0, "-v")
+
+    def setup(path):
+        return [arg.replace("{d}", str(path)) for arg in argv]
+
+    return "argv-" + " ".join(map(repr, argv)), setup
+
+
+def _cases():
+    """Every case as (id, setup); ``setup(workdir)`` writes the case's input
+    and returns its argument list."""
+    rng = random.Random(13)
+    cases = [config_value_case(rng) for _ in range(110)]
+    cases += [config_file_case(name, content) for name, content in CONFIG_FILES.items()]
+    cases += [
+        csv_case(name, command, seed)
+        for seed, name in enumerate(CSV_MUTATIONS)
+        for command in ("run", "score", "retrieve", "export-sft")
+    ]
+    cases += [prediction_case(rng) for _ in range(80)]
+    cases += [argv_case(rng) for _ in range(60)]
+    return [(f"{n:03d}-{case_id}", setup) for n, (case_id, setup) in enumerate(cases)]
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case_id, setup", CASES, ids=[case_id for case_id, _ in CASES])
+def test_input_ends_in_a_status_not_a_traceback(tmp_path, capsys, case_id, setup):
+    make_workdir(tmp_path)
+    argv = setup(tmp_path)
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        assert "-argv-" in case_id and exc.code == 2  # argparse rejects the argument list
+        assert "Traceback" not in capsys.readouterr().err
+        return
+    err = capsys.readouterr().err
+    assert status in (0, 1)
+    assert "Traceback" not in err
+    if status == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
