@@ -51,17 +51,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_score(args) -> int:
     records = _read_predictions(args.predictions)
-    tracks = {r.track for r in records}
-    if len(tracks) != 1:
-        raise ValidationError(f"{args.predictions}: records mix tracks {sorted(tracks)}")
+    emotion_set = EmotionSet.for_language(args.language)
+    try:
+        vectors = aggregate(records, emotion_set)
+    except ValidationError as exc:  # and its subclass CompletenessError
+        raise type(exc)(f"{args.predictions}: {exc}") from exc
     pred_track = records[0].track
     if args.marginalise and pred_track != TRACK_B:
         raise ConfigError("--marginalise needs intensity (track B) predictions")
     gold_track = TRACK_A if args.marginalise else pred_track
 
-    emotion_set = EmotionSet.for_language(args.language)
     snippets = load_dataset(args.gold, ColumnSchema(), emotion_set, gold_track)
-    vectors = aggregate(records, emotion_set)
     if args.marginalise:
         vectors = [marginalise(v) for v in vectors]
     try:

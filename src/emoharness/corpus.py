@@ -200,7 +200,9 @@ def load_dataset(
 
     Row order is preserved. Raises :class:`SchemaError` when the file cannot
     be read as UTF-8 or a mapped column is absent or repeated, and
-    :class:`ValidationError` for bad labels, empty texts or duplicate ids.
+    :class:`ValidationError` for a file without rows or a row with a bad
+    label, an empty text or a duplicate id. Every error names the file, and a
+    row's error also its line.
     """
     lo, hi = label_range(track)
     path = Path(path)
@@ -225,9 +227,9 @@ def load_dataset(
             for row in reader:
                 row_id = (row[schema.id] or "").strip()
                 if not row_id:
-                    raise ValidationError(f"{path}: line {reader.line_num}: empty id")
+                    raise ValidationError("empty id")
                 if row_id in seen:
-                    raise ValidationError(f"{path}: duplicate id {row_id!r}")
+                    raise ValidationError(f"duplicate id {row_id!r}")
                 seen.add(row_id)
                 text = row[schema.text] or ""
                 if not text.strip():
@@ -240,6 +242,10 @@ def load_dataset(
         raise SchemaError(f"{path}: cannot read dataset: {exc}") from exc
     except csv.Error as exc:
         raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+    except ValidationError as exc:  # only the row loop raises one
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not snippets:
+        raise ValidationError(f"{path}: no rows")
     return snippets
 
 

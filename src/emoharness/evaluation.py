@@ -154,33 +154,48 @@ def _aligned_matrices(
     return emotions, g, p
 
 
-def macro_f1(
-    gold: list[LabelVector], pred: list[LabelVector], parse_failures: int = 0
-) -> MetricsReport:
+def _report(metric_kind: str, gold, pred, track: str, score_column) -> MetricsReport:
+    """Score each emotion's gold and predicted columns with ``score_column``;
+    one it scores None is reported as 0 and listed as degenerate."""
+    emotions, g, p = _aligned_matrices(gold, pred, track)
+    per_emotion, degenerate = {}, []
+    for j, emotion in enumerate(emotions):
+        value = score_column(g[:, j], p[:, j])
+        if value is None:
+            value = 0.0
+            degenerate.append(emotion)
+        per_emotion[emotion] = value
+    average = sum(per_emotion.values()) / len(per_emotion)
+    counts = {"instances": g.size, "degenerate_emotions": degenerate}
+    return MetricsReport(metric_kind, per_emotion, average, counts)
+
+
+def _f1(x: np.ndarray, y: np.ndarray) -> float:
+    tp = int(np.sum((x == 1) & (y == 1)))
+    fp = int(np.sum((x == 0) & (y == 1)))
+    fn = int(np.sum((x == 1) & (y == 0)))
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom else 0.0
+
+
+def _pearson_r(x: np.ndarray, y: np.ndarray) -> float | None:
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return None
+    xc = x - x.mean()
+    yc = y - y.mean()
+    r = float(np.dot(xc, yc)) / math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
+    return min(1.0, max(-1.0, r))
+
+
+def macro_f1(gold: list[LabelVector], pred: list[LabelVector]) -> MetricsReport:
     """Unweighted mean of per-emotion binary F1 (positive class = 1).
 
     F1 with an empty denominator (no positives anywhere) is defined as 0.
     """
-    emotions, g, p = _aligned_matrices(gold, pred, TRACK_A)
-    per_emotion: dict[str, float] = {}
-    for j, emotion in enumerate(emotions):
-        tp = int(np.sum((g[:, j] == 1) & (p[:, j] == 1)))
-        fp = int(np.sum((g[:, j] == 0) & (p[:, j] == 1)))
-        fn = int(np.sum((g[:, j] == 1) & (p[:, j] == 0)))
-        denom = 2 * tp + fp + fn
-        per_emotion[emotion] = 2 * tp / denom if denom else 0.0
-    average = sum(per_emotion.values()) / len(per_emotion)
-    counts = {
-        "instances": len(gold) * len(emotions),
-        "parse_failures": parse_failures,
-        "degenerate_emotions": [],
-    }
-    return MetricsReport(MACRO_F1, per_emotion, average, counts)
+    return _report(MACRO_F1, gold, pred, TRACK_A, _f1)
 
 
-def mean_pearson_r(
-    gold: list[LabelVector], pred: list[LabelVector], parse_failures: int = 0
-) -> MetricsReport:
+def mean_pearson_r(gold: list[LabelVector], pred: list[LabelVector]) -> MetricsReport:
     """Unweighted mean of per-emotion Pearson r over intensity vectors.
 
     An emotion where either side is constant gets r = 0 and is flagged in
@@ -188,23 +203,4 @@ def mean_pearson_r(
     """
     if len(gold) < 2:
         raise ValueError(f"need at least 2 snippets to correlate, got {len(gold)}")
-    emotions, g, p = _aligned_matrices(gold, pred, TRACK_B)
-    per_emotion: dict[str, float] = {}
-    degenerate: list[str] = []
-    for j, emotion in enumerate(emotions):
-        x, y = g[:, j], p[:, j]
-        if np.all(x == x[0]) or np.all(y == y[0]):
-            per_emotion[emotion] = 0.0
-            degenerate.append(emotion)
-            continue
-        xc = x - x.mean()
-        yc = y - y.mean()
-        r = float(np.dot(xc, yc)) / math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
-        per_emotion[emotion] = min(1.0, max(-1.0, r))
-    average = sum(per_emotion.values()) / len(per_emotion)
-    counts = {
-        "instances": len(gold) * len(emotions),
-        "parse_failures": parse_failures,
-        "degenerate_emotions": degenerate,
-    }
-    return MetricsReport(MEAN_PEARSON_R, per_emotion, average, counts)
+    return _report(MEAN_PEARSON_R, gold, pred, TRACK_B, _pearson_r)

@@ -106,8 +106,9 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
                         language = _escape(display_name(inst.language))
                         prompts[pair] = render_zero_shot(template_id, "\x00", language, inst.emotion).split("\x00")
                     head, tail = prompts[pair]
+                    output = _escape(str(inst.gold))
                     frame = frames[key] = (
-                        f'{{"instruction": "{head}'.encode(), f'{tail}", "output": "{inst.gold!s}"}}\n'.encode()
+                        f'{{"instruction": "{head}'.encode(), f'{tail}", "output": "{output}"}}\n'.encode()
                     )
                 text = texts.get(inst.text)
                 if text is None:

@@ -158,13 +158,14 @@ def parse_label(raw_text: str, track: str) -> int | None:
 @dataclass(slots=True)
 class _Connection:
     """A thread's connection to ``origin``, ``(scheme, host, timeout)``.
-    ``absolute_target`` is set for plain HTTP through a proxy, which takes
-    the whole URL as the target. The connection closes when its thread ends
-    and drops it."""
+    ``target_prefix`` goes before each request's path: ``scheme://host`` for
+    plain HTTP through a proxy, which takes the absolute URL as the target,
+    and empty otherwise. The connection closes when its thread ends and
+    drops it."""
 
     origin: tuple[str, str, float]
     conn: http.client.HTTPConnection
-    absolute_target: bool
+    target_prefix: str
     proxy_headers: dict[str, str]
 
     def __del__(self):
@@ -180,7 +181,7 @@ def _open_connection(origin: tuple[str, str, float]) -> _Connection:
     proxy = urllib.request.getproxies().get(scheme)
     if not proxy or urllib.request.proxy_bypass(host):
         cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        return _Connection(origin, cls(host, timeout=timeout), False, {})
+        return _Connection(origin, cls(host, timeout=timeout), "", {})
     parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
     proxy_headers = {}
     if parts.username is not None:
@@ -190,10 +191,12 @@ def _open_connection(origin: tuple[str, str, float]) -> _Connection:
         proxy_headers["Proxy-Authorization"] = f"Basic {token}"
     proxy_host = parts.netloc.rpartition("@")[2]
     if not https:
-        return _Connection(origin, http.client.HTTPConnection(proxy_host, timeout=timeout), True, proxy_headers)
+        # From the origin, not the URL: a target carries no userinfo (RFC 9110, 4.2.4).
+        conn = http.client.HTTPConnection(proxy_host, timeout=timeout)
+        return _Connection(origin, conn, f"{scheme}://{host}", proxy_headers)
     conn = http.client.HTTPSConnection(proxy_host, timeout=timeout)
     conn.set_tunnel(host, headers=proxy_headers)
-    return _Connection(origin, conn, False, {})
+    return _Connection(origin, conn, "", {})
 
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
@@ -206,7 +209,7 @@ def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> t
     except (ValueError, http.client.HTTPException) as exc:  # a malformed host, port or proxy URL
         raise TransportError(f"request to {url} failed: {exc}") from exc
     conn = held.conn
-    target = url if held.absolute_target else parts.path + (f"?{parts.query}" if parts.query else "")
+    target = held.target_prefix + parts.path + (f"?{parts.query}" if parts.query else "")
     body = json.dumps(payload).encode("utf-8")
     if held.proxy_headers:
         headers = {**headers, **held.proxy_headers}
@@ -286,23 +289,23 @@ class CompletionClient:
             return [self.complete(r) for r in requests_]
         window = _WINDOW_PER_WORKER * self.config.concurrency_limit
         dedup = self.config.temperature == 0
-        # sha256 of each prompt sent -> its future until collected, then its
-        # answer: about 100 bytes per distinct prompt besides the answer.
-        sent: dict[bytes, Future | str] = {}
-        # (digest or None, None, future) for a request sent; (None, request,
-        # future or answer) for a copy of an earlier request's answer.
-        pending: deque[tuple[bytes | None, CompletionRequest | None, Future | str]] = deque()
+        # sha256 of each prompt sent -> its answer, None until the request is
+        # collected: about 100 bytes per distinct prompt besides the answer.
+        answers: dict[bytes, str | None] = {}
+        # (digest or None, None, future) for a request sent; (digest, request,
+        # None) for a repeat. Collection is first in, first out, so a prompt's
+        # first request is collected, or has raised, before any repeat of it.
+        pending: deque[tuple[bytes | None, CompletionRequest | None, Future | None]] = deque()
         results: list[RawCompletion] = []
 
         def collect() -> None:
-            digest, copy, source = pending.popleft()
-            if copy is None:
-                completion = source.result()
+            digest, repeat, future = pending.popleft()
+            if repeat is None:
+                completion = future.result()
                 if digest is not None:
-                    sent[digest] = completion.raw_text
+                    answers[digest] = completion.raw_text
             else:
-                raw_text = source if isinstance(source, str) else source.result().raw_text
-                completion = RawCompletion(copy.snippet_id, copy.emotion, raw_text, 0.0, 0)
+                completion = RawCompletion(repeat.snippet_id, repeat.emotion, answers[digest], 0.0, 0)
             results.append(completion)
 
         with ThreadPoolExecutor(max_workers=self.config.concurrency_limit) as pool:
@@ -311,14 +314,12 @@ class CompletionClient:
                     digest = None
                     if dedup:
                         digest = hashlib.sha256(request.prompt.encode("utf-8", "surrogatepass")).digest()
-                    source = sent.get(digest)
-                    if source is None:
-                        source = pool.submit(self.complete, request)
-                        if digest is not None:
-                            sent[digest] = source
-                        pending.append((digest, None, source))
+                    if digest in answers:
+                        pending.append((digest, request, None))
                     else:
-                        pending.append((None, request, source))
+                        pending.append((digest, None, pool.submit(self.complete, request)))
+                        if digest is not None:
+                            answers[digest] = None
                     if len(pending) == window:
                         collect()
                 while pending:

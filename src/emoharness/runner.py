@@ -381,25 +381,28 @@ def score_predictions(
     for presence gold (track A), mean Pearson r for intensity gold (track B).
     Parse failures among ``records`` are counted in the report."""
     gold = [LabelVector(s.id, s.labels, gold_track) for s in snippets]
-    metric = macro_f1 if gold_track == TRACK_A else mean_pearson_r
-    return metric(gold, vectors, parse_failures=count_parse_failures(records))
+    report = (macro_f1 if gold_track == TRACK_A else mean_pearson_r)(gold, vectors)
+    report.counts["parse_failures"] = count_parse_failures(records)
+    return report
 
 
 def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: dict[str, float]) -> dict:
     emotion_set = config.emotion_set
-    gold_track = TRACK_A if config.strategy == "marginalise_from_b" else config.track
+    # marginalise_from_b asks for intensities; validate_config holds its gold to track A.
     prompt_track = TRACK_B if config.strategy == "marginalise_from_b" else config.track
     template_id = TEMPLATE_IDS[prompt_track]
     language = display_name(config.language)
 
     with _stage("load", stage_seconds):
-        snippets = load_dataset(config.dataset.test, config.schema, emotion_set, gold_track)
+        snippets = load_dataset(config.dataset.test, config.schema, emotion_set, config.track)
     with _stage("transform", stage_seconds):
-        instances = explode(snippets, emotion_set, gold_track)
+        instances = explode(snippets, emotion_set, config.track)
 
     if config.strategy == "few_shot":
         with _stage("retrieve", stage_seconds):
             train = load_dataset(config.dataset.train, config.schema, emotion_set, TRACK_A)
+            if config.retrieval.k > len(train):
+                raise ConfigError(f"retrieval.k: {config.retrieval.k} exceeds the {len(train)} rows of dataset.train")
             train_by_id = {s.id: s for s in train}
             index = build_index([(s.id, s.text) for s in train], config.bm25)
             hits_by_snippet = {s.id: top_k(index, s.text, config.retrieval) for s in snippets}
@@ -449,7 +452,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
         )
 
     with _stage("score", stage_seconds):
-        report = score_predictions(snippets, vectors, records, gold_track)
+        report = score_predictions(snippets, vectors, records, config.track)
         _write_json(staging / "report.json", report.as_dict())
         (staging / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
 

@@ -196,6 +196,26 @@ class TestScoreCommand:
         assert main(["score", str(gold), str(bad), "--language", "eng"]) == 1
         assert capsys.readouterr().err == f"error: {bad}: line 3: bad prediction record: missing key 'parsed'\n"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda lines: lines + lines[:1], "duplicate record for ('s0000', anger)", id="repeated-line"),
+            pytest.param(lambda lines: lines[1:], "missing (snippet, emotion) predictions: s0000:anger", id="missing-line"),
+            pytest.param(
+                lambda lines: [lines[0].replace('"track": "A"', '"track": "B"')] + lines[1:],
+                "records mix tracks ['A', 'B']",
+                id="mixed-tracks",
+            ),
+        ],
+    )
+    def test_score_aggregation_error_names_the_predictions_file(self, workdir, capsys, edit, message):
+        gold, preds = self.gold_and_predictions(workdir)
+        bad = workdir / "bad.jsonl"
+        bad.write_text("".join(edit(preds.read_text(encoding="utf-8").splitlines(keepends=True))), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", str(gold), str(bad), "--language", "eng"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_score_empty_predictions_file(self, workdir, capsys):
         gold, _ = self.gold_and_predictions(workdir)
         empty = workdir / "empty.jsonl"

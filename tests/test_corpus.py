@@ -181,6 +181,22 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="empty text"):
             load_dataset(path, ColumnSchema(), es, "A")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["r1", "hi", 0, 0, 0, 0, 0], ["r1", "again", 0, 0, 0, 0, 0]], "line 3: duplicate id 'r1'"),
+            ([["r1", "hi", 0, 0, 0, 0, 0], [" ", "hi", 0, 0, 0, 0, 0]], "line 3: empty id"),
+            ([["r1", "  ", 0, 0, 0, 0, 0]], "line 2: row 'r1': empty text"),
+            ([], "no rows"),
+        ],
+    )
+    def test_row_errors_name_the_file(self, tmp_path, rows, message):
+        es = EmotionSet.for_language("eng")
+        path = write_rows(tmp_path / "d.csv", ["id", "text", "anger", "fear", "joy", "sadness", "surprise"], rows)
+        with pytest.raises(ValidationError) as info:
+            load_dataset(path, ColumnSchema(), es, "A")
+        assert str(info.value) == f"{path}: {message}"
+
     def test_unparsable_csv_cites_path_and_line(self, tmp_path):
         # The csv module refuses a field longer than its limit (131072 by default).
         es = EmotionSet.for_language("eng")
@@ -205,7 +221,8 @@ class TestLoadDataset:
 
 
 #: Label cells as a CSV holds them, and what loading them gives on each track:
-#: the label, or the exact message of the ValidationError for row r1's joy column.
+#: the label, or the exact message of the ValidationError for row r1's joy
+#: column after its "<path>: line 2: " prefix.
 LABEL_CELLS = [
     ("0", "A", 0),
     ("1", "A", 1),
@@ -246,7 +263,7 @@ class TestLabelCells:
         else:
             with pytest.raises(ValidationError) as info:
                 load_dataset(path, ColumnSchema(), es, track)
-            assert str(info.value) == want
+            assert str(info.value) == f"{path}: line 2: {want}"
 
     def test_short_row_names_its_first_missing_column(self, tmp_path):
         # DictReader fills the cells a short row lacks with None.
@@ -254,14 +271,14 @@ class TestLabelCells:
         path = write_rows(tmp_path / "d.csv", self.HEADER, [["r1", "hi", 0, 1, 0, 0, 0], ["r2", "short", 1, 0]])
         with pytest.raises(ValidationError) as info:
             load_dataset(path, ColumnSchema(), es, "A")
-        assert str(info.value) == "row 'r2': column 'joy' has non-integer label ''"
+        assert str(info.value) == f"{path}: line 3: row 'r2': column 'joy' has non-integer label ''"
 
     def test_first_bad_column_in_emotion_order_is_named(self, tmp_path):
         es = EmotionSet.for_language("eng")
         path = write_rows(tmp_path / "d.csv", self.HEADER, [["r1", "hi", 0, "x", 0, 5, 0]])
         with pytest.raises(ValidationError) as info:
             load_dataset(path, ColumnSchema(), es, "A")
-        assert str(info.value) == "row 'r1': column 'fear' has non-integer label 'x'"
+        assert str(info.value) == f"{path}: line 2: row 'r1': column 'fear' has non-integer label 'x'"
 
     def test_remapped_columns(self, tmp_path):
         es = EmotionSet.for_language("eng")
@@ -275,7 +292,7 @@ class TestLabelCells:
         bad = write_rows(tmp_path / "bad.csv", header, [["r1", "hi", 0, 0, 2, 0, 0]])
         with pytest.raises(ValidationError) as info:
             load_dataset(bad, schema, es, "A")
-        assert str(info.value) == "row 'r1': column 'Freude' label 2 outside track A range [0, 1]"
+        assert str(info.value) == f"{bad}: line 2: row 'r1': column 'Freude' label 2 outside track A range [0, 1]"
         # A remapped emotion is read under its mapped name only.
         unmapped = write_rows(tmp_path / "unmapped.csv", ["id", "text", "Anger", "fear", "joy", "sadness", "surprise"], [])
         with pytest.raises(SchemaError, match=r"missing column\(s\): Freude$"):

@@ -10,6 +10,7 @@ from emoharness import (
     EmotionSet,
     LabelVector,
     PredictionRecord,
+    Snippet,
     ValidationError,
     aggregate,
     count_parse_failures,
@@ -17,6 +18,7 @@ from emoharness import (
     marginalise,
     mean_pearson_r,
 )
+from emoharness.runner import score_predictions
 from datagen import random_vectors
 from oracles import ref_macro_f1, ref_mean_pearson
 
@@ -295,6 +297,16 @@ class TestMetricsReport:
         for emotion in EMO:
             assert emotion in table
         assert "average" in table
+
+    def test_parse_failures_are_counted_by_the_runner_alone(self):
+        snippets = [Snippet(f"s{i}", "t", "deu", {e: i for e in EMO}) for i in (0, 1)]
+        records = [record(s.id, e, s.labels[e]) for s in snippets for e in EMO]
+        records[0] = record("s0", EMO[0], None, raw="eh?")
+        pred = aggregate(records, SIX)
+        assert macro_f1(pred, pred).counts == {"instances": 12, "degenerate_emotions": []}
+        report = score_predictions(snippets, pred, records, "A")
+        assert report.counts == {"instances": 12, "parse_failures": 1, "degenerate_emotions": []}
+        assert report.format_table().endswith("\nparse failures scored as 0: 1")
 
     def test_as_dict_round_trips_through_json(self):
         import json

@@ -204,10 +204,11 @@ class TestExportBytes:
 
     def test_golds_that_compare_equal_print_apart(self, tmp_path):
         # Hand-built instances may hold any gold; each prints as str() does.
-        instances = [inst(f"s{i}", "x", "joy", gold) for i, gold in enumerate([1, True, 1.0, 0, False])]
+        golds = [1, True, 1.0, 0, False, 'a"b', "x\\y"]
+        instances = [inst(f"s{i}", "x", "joy", gold) for i, gold in enumerate(golds)]
         out = tmp_path / "sft.jsonl"
         export_sft_dataset(instances, "A", out)
-        assert [line["output"] for line in read_jsonl(out)] == ["1", "True", "1.0", "0", "False"]
+        assert [line["output"] for line in read_jsonl(out)] == ["1", "True", "1.0", "0", "False", 'a"b', "x\\y"]
 
     def test_lone_surrogate_still_fails_to_encode(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):

@@ -338,6 +338,9 @@ def _cases():
 
 CASES = _cases()
 
+#: Cases whose error must name the bad CSV, test.csv.
+NAMES_TEST_CSV = {"csv-decimal-label-run", "csv-blank-text-run", "csv-header-only-run"}
+
 
 @pytest.mark.parametrize("case_id, setup", CASES, ids=[case_id for case_id, _ in CASES])
 def test_input_ends_in_a_status_not_a_traceback(tmp_path, capsys, case_id, setup):
@@ -354,3 +357,5 @@ def test_input_ends_in_a_status_not_a_traceback(tmp_path, capsys, case_id, setup
     assert "Traceback" not in err
     if status == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    if case_id[4:] in NAMES_TEST_CSV:
+        assert status == 1 and f"{tmp_path / 'test.csv'}: " in err, err

@@ -462,6 +462,7 @@ class TestRunPipeline:
         with pytest.raises(RunStageError) as excinfo:
             run(validate_config(raw))
         assert excinfo.value.stage == "retrieve"
+        assert str(excinfo.value) == "[stage=retrieve] retrieval.k: 5 exceeds the 2 rows of dataset.train"
 
     def test_marginalise_strategy_writes_presence_vectors(self, tmp_path, eng_test_csv):
         csv_path, _ = eng_test_csv
