@@ -20,7 +20,7 @@ from .runner import RUN_STRATEGIES, load_config, run, score_predictions
 def _read_predictions(path: Path) -> list[PredictionRecord]:
     records = []
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:

@@ -8,13 +8,14 @@ training hyperparameters verbatim.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .corpus import EMOTIONS, TaskInstance, display_name
+from .corpus import TaskInstance, display_name
 from .errors import ConfigError, ValidationError
-from .prompting import _TEMPLATE_PARTS, TEMPLATE_IDS, render_zero_shot
+from .prompting import TEMPLATE_IDS, render_zero_shot
 
 #: Emitted into export metadata as-is; never interpreted by this package.
 HYPERPARAMETERS = {
@@ -38,23 +39,6 @@ _BATCH_LINES = 4096  # SFT lines per write: a few MB, never the whole file
 def _escape(s: str) -> str:
     """The body of ``s`` as a JSON string, as ``_encode_line`` writes it."""
     return encode_basestring(s)[1:-1]
-
-
-def _check_escape_free() -> None:
-    """Fail at import if JSON escaping would change a template literal or emotion.
-
-    The SFT writer renders prompts from escaped values instead of escaping
-    each rendered prompt. Escaping works one character at a time, so the two
-    give the same bytes as long as escaping leaves the template literals and
-    the emotion names unchanged.
-    """
-    literals = {part for parts in _TEMPLATE_PARTS.values() for part in parts[::2]}
-    changed = sorted(s for s in literals.union(EMOTIONS) if _escape(s) != s)
-    if changed:
-        raise RuntimeError(f"JSON escaping changes prompt literals {changed!r}")
-
-
-_check_escape_free()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -89,9 +73,8 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
         )
     out = Path(out)
     # A line is head + escaped text + tail, fixed by language, emotion, gold and its type
-    # (True == 1 prints apart). A prompt rendered with "\x00" as its text splits in two there:
-    # JSON escapes a raw "\x00"; _check_escape_free keeps it out of the literals (unpacking checks).
-    prompts: dict[tuple[str, str], list[str]] = {}
+    # (True == 1 prints apart). Two renders whose texts differ in one character differ only
+    # there while the template holds {text} once, and JSON escapes one character at a time.
     frames: dict[tuple[str, str, int, type], tuple[bytes, bytes]] = {}
     texts: dict[str, bytes] = {}
     with out.open("wb") as fh:
@@ -101,14 +84,13 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
                 key = (inst.language, inst.emotion, inst.gold, type(inst.gold))
                 frame = frames.get(key)
                 if frame is None:
-                    pair = key[:2]
-                    if pair not in prompts:
-                        language = _escape(display_name(inst.language))
-                        prompts[pair] = render_zero_shot(template_id, "\x00", language, inst.emotion).split("\x00")
-                    head, tail = prompts[pair]
-                    output = _escape(str(inst.gold))
+                    language = display_name(inst.language)
+                    first, second = (render_zero_shot(template_id, t, language, inst.emotion) for t in "\x00\x01")
+                    head = os.path.commonprefix((first, second))
+                    tail = first[len(head) + 1 :]
                     frame = frames[key] = (
-                        f'{{"instruction": "{head}'.encode(), f'{tail}", "output": "{output}"}}\n'.encode()
+                        f'{{"instruction": "{_escape(head)}'.encode(),
+                        f'{_escape(tail)}", "output": "{_escape(str(inst.gold))}"}}\n'.encode(),
                     )
                 text = texts.get(inst.text)
                 if text is None:
@@ -123,7 +105,7 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
             "hyperparameters": dict(HYPERPARAMETERS, learning_rate=LEARNING_RATES[template_id]),
             "instances": len(instances),
             "per_emotion": Counter(i.emotion for i in instances),
-            "languages": sorted({language for language, _ in prompts}),
+            "languages": sorted({language for language, *_ in frames}),
         },
     )
 

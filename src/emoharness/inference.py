@@ -60,6 +60,8 @@ class EndpointConfig:
             raise ConfigError(f"base_url must start with http:// or https://, got {self.base_url!r}")
         # Checked here, once: a request to a malformed address fails the same
         # way on every retry, after the whole backoff.
+        if any(c <= " " or c == "\x7f" for c in self.base_url):
+            raise ConfigError(f"base_url holds a space or control character: {self.base_url!r}")
         try:
             parts = urllib.parse.urlsplit(self.base_url)
             port = parts.port

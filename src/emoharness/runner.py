@@ -292,8 +292,6 @@ def _stage(name: str, seconds: dict[str, float]):
     start = time.monotonic()
     try:
         yield
-    except RunStageError:
-        raise
     except Exception as exc:
         raise RunStageError(name, exc) from exc
     seconds[name] = time.monotonic() - start

@@ -116,7 +116,11 @@ class TestRunCommand:
 
 
     @pytest.mark.parametrize(
-        "url", ["http://127.0.0.1:abc/v1", "http://127.0.0.1:0/v1", "http://127.0.0.1:70000/v1", "http:///v1"]
+        "url",
+        [
+            "http://127.0.0.1:abc/v1", "http://127.0.0.1:0/v1", "http://127.0.0.1:70000/v1", "http:///v1",
+            "http://a b/v1", "http://host/v 1", "http://a\x00b:80/v1",
+        ],
     )
     def test_malformed_base_url_fails_before_any_request(self, workdir, capsys, monkeypatch, url):
         def no_client(*args, **kwargs):
@@ -176,6 +180,16 @@ class TestScoreCommand:
         out = capsys.readouterr().out
         assert "macro_f1" in out
         assert "1.000" in out
+
+    def test_score_reads_a_predictions_file_with_a_bom(self, workdir, capsys):
+        gold, preds = self.gold_and_predictions(workdir)
+        bom = workdir / "bom.jsonl"
+        bom.write_bytes(b"\xef\xbb\xbf" + preds.read_bytes())
+        capsys.readouterr()
+        assert main(["score", str(gold), str(preds), "--language", "eng"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["score", str(gold), str(bom), "--language", "eng"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_score_unwritable_json_out_is_an_error(self, workdir, capsys):
         gold, preds = self.gold_and_predictions(workdir)

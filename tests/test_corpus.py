@@ -403,6 +403,11 @@ class TestOversample:
         assert out == instances
         assert any("single class" in r.message for r in caplog.records)
 
+    def test_track_b_instances_rejected(self):
+        instances = [TaskInstance("s1", "text", "eng", "joy", 2, "B")]
+        with pytest.raises(ValueError, match="track A instances only"):
+            oversample(instances, seed=3)
+
     def test_seed_determinism(self):
         rng = random.Random(11)
         es = EmotionSet.for_language("eng")

@@ -196,6 +196,12 @@ class TestMacroF1:
         with pytest.raises(AlignmentError):
             macro_f1(gold, pred)
 
+    def test_emotion_mismatch(self):
+        gold = [vec("s1", {e: 0 for e in EMO})]
+        pred = [vec("s1", {e: 0 for e in EMO[:-1]})]
+        with pytest.raises(AlignmentError, match="labels emotions"):
+            macro_f1(gold, pred)
+
     def test_duplicate_ids(self):
         gold = [vec("s1", {e: 0 for e in EMO}), vec("s1", {e: 0 for e in EMO})]
         with pytest.raises(AlignmentError):

@@ -17,7 +17,7 @@ from emoharness import (
     export_sft_dataset,
     render_zero_shot,
 )
-from emoharness import exports
+from emoharness import exports, prompting
 from emoharness.exports import _encode_line
 from emoharness.prompting import TEMPLATE_IDS
 from datagen import escape_text
@@ -127,8 +127,9 @@ def escape_instances(track, count=400, seed=7):
     """Instances whose texts and language codes stress JSON escaping.
 
     Texts repeat across instances; some texts equal a language code, and
-    some unknown codes (shown as themselves) hold quotes or backslashes. A
-    text and a code hold "\x00", the character the writer splits prompts at.
+    some unknown codes (shown as themselves) hold quotes or backslashes.
+    Texts and codes hold "\x00" and "\x01", the texts the writer renders
+    to find where a prompt's text starts and ends.
     """
     rng = random.Random(seed)
     languages = ["eng", "deu", 'x"y', "a\\b", "q\u2028\x01", "n\x00l"]
@@ -147,23 +148,25 @@ def escape_instances(track, count=400, seed=7):
     ]
 
 
+def encoded(instances, template_id):
+    """The SFT file's bytes as ``_encode_line`` writes each line."""
+    return "".join(
+        _encode_line({
+            "instruction": render_zero_shot(template_id, i.text, display_name(i.language), i.emotion),
+            "output": str(i.gold),
+        })
+        + "\n"
+        for i in instances
+    ).encode("utf-8")
+
+
 class TestExportBytes:
     @pytest.mark.parametrize("track", ["A", "B"])
     def test_lines_equal_the_json_encoder(self, tmp_path, track):
         instances = escape_instances(track)
         out = tmp_path / "sft.jsonl"
         export_sft_dataset(instances, track, out)
-        expected = "".join(
-            _encode_line({
-                "instruction": render_zero_shot(
-                    TEMPLATE_IDS[track], i.text, display_name(i.language), i.emotion
-                ),
-                "output": str(i.gold),
-            })
-            + "\n"
-            for i in instances
-        )
-        assert out.read_bytes() == expected.encode("utf-8")
+        assert out.read_bytes() == encoded(instances, TEMPLATE_IDS[track])
 
     @pytest.mark.parametrize(
         "count",
@@ -174,19 +177,10 @@ class TestExportBytes:
         instances = escape_instances("B", count=count)
         out = tmp_path / "sft.jsonl"
         export_sft_dataset(instances, "B", out)
-        expected = "".join(
-            _encode_line({
-                "instruction": render_zero_shot("track_b", i.text, display_name(i.language), i.emotion),
-                "output": str(i.gold),
-            })
-            + "\n"
-            for i in instances
-        )
-        assert out.read_bytes() == expected.encode("utf-8")
+        assert out.read_bytes() == encoded(instances, "track_b")
 
     def test_renders_through_the_module_name(self, tmp_path, monkeypatch):
-        # bench/child.py counts prompt renders by wrapping this name. The
-        # writer renders each (language, emotion) pair once, not each line.
+        # bench/child.py counts prompt renders by wrapping this name.
         calls = []
 
         def counting(*args):
@@ -197,8 +191,7 @@ class TestExportBytes:
         instances = escape_instances("A", count=50)
         out = tmp_path / "sft.jsonl"
         export_sft_dataset(instances, "A", out)
-        pairs = {(exports._escape(display_name(i.language)), i.emotion) for i in instances}
-        assert sorted(args[2:] for args in calls) == sorted(pairs)
+        assert {args[2:] for args in calls} == {(display_name(i.language), i.emotion) for i in instances}
         # JSON escapes newlines inside strings, so each raw one ends a line.
         assert out.read_bytes().count(b"\n") == 50
 
@@ -214,10 +207,16 @@ class TestExportBytes:
         with pytest.raises(UnicodeEncodeError):
             export_sft_dataset([inst("s1", "bad \ud800", "joy", 1)], "A", tmp_path / "sft.jsonl")
 
-    def test_escaping_template_literal_fails_at_import(self, monkeypatch):
-        monkeypatch.setattr(exports, "_TEMPLATE_PARTS", {"quoted": ('Say "', "text", '" now')})
-        with pytest.raises(RuntimeError, match="JSON escaping changes"):
-            exports._check_escape_free()
+    def test_template_literals_that_json_escapes(self, tmp_path, monkeypatch):
+        # A template may hold any character; each line is still what the encoder writes.
+        parts = ('Say "\\', "language", '\x01" of ', "text", "\x00\n\\is ", "emotion", '"?')
+        monkeypatch.setitem(prompting._TEMPLATE_PARTS, "track_a", parts)
+        instances = escape_instances("A")
+        out = tmp_path / "sft.jsonl"
+        export_sft_dataset(instances, "A", out)
+        expected = encoded(instances, "track_a")
+        assert b'Say \\"\\\\' in expected
+        assert out.read_bytes() == expected
 
 
 class TestExportEbridgePlan:

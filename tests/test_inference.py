@@ -341,6 +341,13 @@ class TestCompletionClient:
         with pytest.raises(ProtocolError):
             client.complete(REQ)
 
+    @pytest.mark.parametrize("content", [None, 1, ["1"]])
+    def test_non_text_content_is_protocol_error(self, content):
+        body = json.dumps({"choices": [{"message": {"content": content}}]})
+        client, _, _ = make_client([(200, body)])
+        with pytest.raises(ProtocolError, match="not text"):
+            client.complete(REQ)
+
     def test_api_key_used_in_header_only(self, monkeypatch, caplog):
         monkeypatch.setenv("TEST_HARNESS_KEY", "sk-super-secret-token")
         client, transport, _ = make_client(
@@ -674,6 +681,11 @@ class TestEndpointConfig:
             {"base_url": "http://127.0.0.1:abc/v1"},
             {"base_url": "http://127.0.0.1:0/v1"},
             {"base_url": "http:///v1"},
+            {"base_url": "http://a b/v1"},
+            {"base_url": "http://host/v 1"},
+            {"base_url": "http://a\x00b:80/v1"},
+            {"base_url": "http://host/v1\t"},
+            {"base_url": "http://host/v1\x7f"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
