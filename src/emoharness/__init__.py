@@ -62,7 +62,7 @@ from .mocks import (
     KeywordMock,
     build_mock,
 )
-from .prompting import TEMPLATES, TRACK_A_TEMPLATE, TRACK_B_TEMPLATE, render_few_shot, render_zero_shot
+from .prompting import TEMPLATES, TRACK_A_TEMPLATE, TRACK_B_TEMPLATE, frame, render_few_shot, render_zero_shot
 from .retrieval import Bm25Index, Bm25Params, RetrievalConfig, build_index, score, tokenize, top_k
 from .runner import (
     STRATEGIES,
@@ -123,6 +123,7 @@ __all__ = [
     "TEMPLATES",
     "TRACK_A_TEMPLATE",
     "TRACK_B_TEMPLATE",
+    "frame",
     "render_few_shot",
     "render_zero_shot",
     "Bm25Index",

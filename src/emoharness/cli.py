@@ -11,7 +11,7 @@ from pathlib import Path
 from .corpus import TRACK_A, TRACK_B, ColumnSchema, EmotionSet, load_dataset
 from .errors import ConfigError, HarnessError, ValidationError
 from .evaluation import aggregate, marginalise
-from .exports import _write_json
+from .exports import write_json
 from .inference import PredictionRecord
 from .retrieval import RetrievalConfig, build_index, top_k
 from .runner import RUN_STRATEGIES, load_config, run, score_predictions
@@ -71,7 +71,7 @@ def _cmd_score(args) -> int:
     print(report.format_table())
     if args.json_out is not None:
         try:
-            _write_json(args.json_out, report.as_dict())
+            write_json(args.json_out, report.as_dict())
         except OSError as exc:
             raise ConfigError(f"--json-out {args.json_out}: cannot write report: {exc}") from exc
     return 0

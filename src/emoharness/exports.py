@@ -33,7 +33,7 @@ LEARNING_RATES = {"track_a": 2e-5, "track_b": 5e-5}
 
 # Built once: ``json.dumps(..., ensure_ascii=False)`` builds a new encoder per call.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
-_BATCH_LINES = 4096  # SFT lines per write: a few MB, never the whole file
+_BATCH_LINES = 4096  # lines per write: a few MB, never the whole file
 
 
 def _escape(s: str) -> str:
@@ -41,16 +41,40 @@ def _escape(s: str) -> str:
     return encode_basestring(s)[1:-1]
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_jsonl(path: Path, rows) -> None:
+def write_jsonl(path: Path, rows) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(_encode_line(row) + "\n")
+
+
+def write_predictions(path: Path, records: list) -> None:
+    """Write a list of ``PredictionRecord``s as JSONL, each line byte for
+    byte what ``write_jsonl`` writes for ``record.as_dict()``.
+
+    A line's escaped snippet id and raw text sit in text that is fixed by
+    the emotion, the track and ``parsed`` with its type (``True == 1``
+    prints apart), so that text is built once per such key.
+    """
+    frames: dict[tuple, tuple[str, str]] = {}
+    with path.open("w", encoding="utf-8") as fh:
+        for start in range(0, len(records), _BATCH_LINES):
+            pieces: list[str] = []
+            for r in records[start : start + _BATCH_LINES]:
+                key = (r.emotion, r.track, r.parsed, type(r.parsed))
+                frame = frames.get(key)
+                if frame is None:
+                    frame = frames[key] = (
+                        f'", "emotion": "{_escape(r.emotion)}", "track": "{_escape(r.track)}", "raw_text": "',
+                        f'", "parsed": {_encode_line(r.parsed)}}}\n',
+                    )
+                pieces += ('{"snippet_id": "', _escape(r.snippet_id), frame[0], _escape(r.raw_text), frame[1])
+            fh.write("".join(pieces))
 
 
 def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Path) -> None:
@@ -98,7 +122,7 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
                 pieces += (frame[0], text, frame[1])
             fh.write(b"".join(pieces))
 
-    _write_json(
+    write_json(
         out.with_suffix(".meta.json"),
         {
             "template_id": template_id,
@@ -145,6 +169,6 @@ def export_ebridge_plan(
             "metadata": dataset.with_suffix(".meta.json").name,
             "instances": len(instances),
         })
-    _write_json(
+    write_json(
         out_dir / "plan.json", {"kind": "staged_sft", "template_id": TEMPLATE_IDS[track], "stages": stages}
     )

@@ -2,9 +2,11 @@
 
 Mocks receive the fully rendered prompt string, exactly like the HTTP
 endpoint would. The ones that need the query text or emotion read them
-back with ``prompting.extract_query``, through patterns built from the
-templates themselves; a statement text that itself embeds a full template
-block would confuse that recovery, which is an accepted limit for test doubles.
+back with ``prompting.extract_query``. An intensity prompt is read back
+through its template's literal head and end; presence and few-shot prompts,
+through a pattern built from the presence template. A statement text that
+itself embeds a full presence block would confuse that recovery, which is
+an accepted limit for test doubles.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .corpus import EMOTIONS, TRACK_A, TRACK_B, EmotionSet
@@ -33,17 +34,41 @@ _PLACEHOLDER = re.compile(r"\{(language|text|emotion)\}")
 # names at odd positions.
 _TEMPLATE_PARTS = {tid: tuple(_PLACEHOLDER.split(t)) for tid, t in TEMPLATES.items()}
 
-# Read-back patterns by track, built from the same split: literals escaped,
-# placeholders as named groups. The emotion is one word, so a text holding
-# " Emotion " still reads back whole; language and text match lazily.
+# The presence read-back pattern, built from the same split: literals escaped,
+# placeholders as named groups. The emotion is one word; language and text
+# match lazily, so a few-shot prompt's blocks each match apart.
 _GROUPS = {"language": r"(?P<language>.*?)", "text": r"(?P<text>.*?)", "emotion": r"(?P<emotion>\w+)"}
-_QUERY_PATTERNS = {
-    TEMPLATE_TRACKS[tid]: re.compile(
-        "".join(_GROUPS[part] if i % 2 else re.escape(part) for i, part in enumerate(parts)),
-        re.DOTALL,
-    )
-    for tid, parts in _TEMPLATE_PARTS.items()
-}
+_PRESENCE_QUERY = re.compile(
+    "".join(_GROUPS[part] if i % 2 else re.escape(part) for i, part in enumerate(_TEMPLATE_PARTS["track_a"])),
+    re.DOTALL,
+)
+_WORD = re.compile(r"\w+")
+
+
+def _parts(template_id: str) -> tuple[str, ...]:
+    parts = _TEMPLATE_PARTS.get(template_id)
+    if parts is None:
+        raise ValueError(f"unknown template id {template_id!r}")
+    return parts
+
+
+# Keyed by the template's parts, not its id, so a replaced template never
+# reads back a frame cached for the old one.
+@functools.lru_cache(maxsize=256)
+def _frame(parts: tuple[str, ...], language: str, emotion: str) -> tuple[str, str]:
+    at = 2 * parts[1::2].index("text") + 1
+    values = {"language": language, "emotion": emotion}
+    filled = [values[part] if i % 2 else part for i, part in enumerate(parts) if i != at]
+    return "".join(filled[:at]), "".join(filled[at:])
+
+
+def frame(template_id: str, language: str, emotion: str) -> tuple[str, str]:
+    """The template text around ``{text}`` as ``(head, tail)``, with the
+    language and emotion filled in: a zero-shot prompt is ``head + text + tail``.
+
+    The emotion is not checked here; ``render_zero_shot`` checks it.
+    """
+    return _frame(_parts(template_id), language, emotion)
 
 
 def render_zero_shot(
@@ -55,32 +80,37 @@ def render_zero_shot(
 ) -> str:
     """Substitute the template placeholders and nothing else.
 
-    The statement text is inserted raw: no escaping, trimming or reflowing,
-    and braces inside it are never re-expanded. ``emotion`` is checked
-    against ``emotion_set`` when given, else against the six known emotions.
+    The statement text is inserted raw between the template's ``frame``:
+    no escaping, trimming or reflowing, and braces inside it are never
+    re-expanded. ``emotion`` is checked against ``emotion_set`` when given,
+    else against the six known emotions.
     """
-    template_parts = _TEMPLATE_PARTS.get(template_id)
-    if template_parts is None:
-        raise ValueError(f"unknown template id {template_id!r}")
+    parts = _parts(template_id)
     allowed = emotion_set.emotions if emotion_set is not None else EMOTIONS
     if emotion not in allowed:
         raise ValidationError(f"emotion {emotion!r} not in active set {list(allowed)}")
-    values = {"language": language, "text": text, "emotion": emotion}
-    parts = list(template_parts)
-    parts[1::2] = [values[name] for name in parts[1::2]]
-    return "".join(parts)
+    head, tail = _frame(parts, language, emotion)
+    return head + text + tail
 
 
 def extract_query(prompt: str) -> tuple[str, str, str]:
     """Recover (text, emotion, track) from a rendered prompt.
 
-    An intensity prompt must match its whole template. Few-shot prompts
-    contain several presence blocks; the query is always the final one.
+    An intensity prompt is read back through its template's literals: it
+    must start with the text before ``{text}`` and end with the text after
+    ``{emotion}``, and the emotion is the one word after the last
+    ``" Emotion "`` separator between them. A word holds no space, so no
+    earlier separator could end the emotion; a text holding the separator
+    reads back whole. Few-shot prompts contain several presence blocks,
+    found by a pattern built from the presence template; the query is
+    always the final one.
     """
-    match = _QUERY_PATTERNS[TRACK_B].fullmatch(prompt)
-    if match:
-        return match["text"], match["emotion"], TRACK_B
-    matches = list(_QUERY_PATTERNS[TRACK_A].finditer(prompt))
+    head, _, separator, _, end = _TEMPLATE_PARTS["track_b"]
+    if prompt.startswith(head) and prompt.endswith(end):
+        text, found, emotion = prompt[len(head) : len(prompt) - len(end)].rpartition(separator)
+        if found and _WORD.fullmatch(emotion):
+            return text, emotion, TRACK_B
+    matches = list(_PRESENCE_QUERY.finditer(prompt))
     if matches:
         last = matches[-1]
         return last["text"], last["emotion"], TRACK_A

@@ -45,7 +45,7 @@ from .evaluation import (
     marginalise,
     mean_pearson_r,
 )
-from .exports import _write_json, _write_jsonl, export_ebridge_plan, export_sft_dataset
+from .exports import export_ebridge_plan, export_sft_dataset, write_json, write_jsonl, write_predictions
 from .inference import (
     CompletionClient,
     CompletionRequest,
@@ -335,7 +335,7 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
             counts = _execute_export(config, staging, stage_seconds)
     except RunStageError as exc:
         cause = exc.__cause__
-        _write_json(
+        write_json(
             staging / "error.json",
             {
                 "stage": exc.stage,
@@ -367,7 +367,7 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
     )
     # The manifest hashes every other artifact, so it is written last and
     # carries no hash of itself.
-    _write_json(staging / "manifest.json", asdict(manifest))
+    write_json(staging / "manifest.json", asdict(manifest))
     os.replace(staging, out_dir)
     return manifest
 
@@ -438,20 +438,20 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
             for c in completions
         ]
         del completions
-        _write_jsonl(staging / "predictions.jsonl", (r.as_dict() for r in records))
+        write_predictions(staging / "predictions.jsonl", records)
 
     with _stage("aggregate", stage_seconds):
         vectors = aggregate(records, emotion_set)
         if config.strategy == "marginalise_from_b":
             vectors = [marginalise(v) for v in vectors]
-        _write_jsonl(
+        write_jsonl(
             staging / "aggregated.jsonl",
             ({"snippet_id": v.snippet_id, "track": v.track, "values": v.values} for v in vectors),
         )
 
     with _stage("score", stage_seconds):
         report = score_predictions(snippets, vectors, records, config.track)
-        _write_json(staging / "report.json", report.as_dict())
+        write_json(staging / "report.json", report.as_dict())
         (staging / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
 
     return {**counts, "parse_failures": report.counts["parse_failures"], "attempts": attempts}

@@ -49,6 +49,10 @@ class TestLabelVector:
         with pytest.raises(ValidationError):
             vec("s", {})
 
+    def test_unknown_track(self):
+        with pytest.raises(ValidationError, match="unknown track 'C'"):
+            vec("s", {"joy": 1}, "C")
+
 
 class TestAggregate:
     def test_regroups_one_snippet(self):
@@ -143,6 +147,10 @@ class TestMarginalise:
 
 
 class TestMacroF1:
+    def test_empty_gold(self):
+        with pytest.raises(ValueError, match="gold vectors are empty"):
+            macro_f1([], [])
+
     def test_identity_is_one(self):
         rng = random.Random(3)
         gold = random_vectors(rng, [f"s{i}" for i in range(20)], EMO, "A")

@@ -10,6 +10,7 @@ from emoharness import (
     HYPERPARAMETERS,
     LEARNING_RATES,
     ConfigError,
+    PredictionRecord,
     TaskInstance,
     ValidationError,
     display_name,
@@ -18,7 +19,7 @@ from emoharness import (
     render_zero_shot,
 )
 from emoharness import exports, prompting
-from emoharness.exports import _encode_line
+from emoharness.exports import _encode_line, write_predictions
 from emoharness.prompting import TEMPLATE_IDS
 from datagen import escape_text
 
@@ -217,6 +218,36 @@ class TestExportBytes:
         expected = encoded(instances, "track_a")
         assert b'Say \\"\\\\' in expected
         assert out.read_bytes() == expected
+
+
+def prediction_records(count, seed=7):
+    """Records whose ids and raw texts stress JSON escaping, with every
+    ``parsed`` a hand-built record may hold: None, labels and booleans."""
+    rng = random.Random(seed)
+    ids = [escape_text(rng) for _ in range(30)] + ["", "s1"]
+    raws = [escape_text(rng) for _ in range(60)] + ["", "2"]
+    return [
+        PredictionRecord(
+            rng.choice(ids), rng.choice(EMOTIONS), rng.choice("AB"), rng.choice(raws),
+            rng.choice([None, 0, 1, 2, 3, True, False]),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestWritePredictions:
+    @pytest.mark.parametrize("count", [50, 2 * exports._BATCH_LINES + 1], ids=["one-batch", "three-batches"])
+    def test_lines_equal_the_json_encoder(self, tmp_path, count):
+        records = prediction_records(count)
+        assert any(r.parsed is True for r in records) and any(r.parsed is None for r in records)
+        out = tmp_path / "predictions.jsonl"
+        write_predictions(out, records)
+        expected = "".join(_encode_line(r.as_dict()) + "\n" for r in records)
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_lone_surrogate_still_fails_to_encode(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_predictions(tmp_path / "p.jsonl", [PredictionRecord("s1", "joy", "A", "bad \ud800", None)])
 
 
 class TestExportEbridgePlan:

@@ -28,6 +28,7 @@ from emoharness import (
     TransportError,
     parse_label,
 )
+from emoharness import inference
 from emoharness.errors import TransportError as TE
 
 
@@ -645,6 +646,15 @@ class TestHttpTransport:
         ((target, headers),) = proxy.requests
         assert target == "api.example:8443"
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode("ascii")
+
+    def test_malformed_proxy_url_is_a_transport_error(self, monkeypatch):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        monkeypatch.setenv("http_proxy", "http://[::1")
+        url = "http://127.0.0.1:9/v1/chat/completions"
+        with pytest.raises(TransportError, match=rf"request to {url} failed: Invalid IPv6 URL"):
+            inference._http_transport(url, {}, {}, 1.0)
 
 
 def test_import_loads_no_requests():

@@ -1,5 +1,8 @@
 """Deterministic mock models and prompt query recovery."""
 
+import random
+import re
+
 import pytest
 
 from emoharness import (
@@ -14,6 +17,8 @@ from emoharness import (
     render_zero_shot,
 )
 from emoharness.mocks import extract_query
+from emoharness.prompting import _PLACEHOLDER, TEMPLATE_TRACKS, TEMPLATES
+from datagen import ESCAPE_FRAGMENTS
 
 
 #: (text, language) pairs that a rendered prompt must read back from: a plain
@@ -50,6 +55,71 @@ class TestExtractQuery:
     def test_unrecognized_prompt(self):
         with pytest.raises(ValueError):
             extract_query("Tell me a story.")
+
+    def test_matches_the_full_template_patterns(self):
+        # The reference is the read-back this replaced: each template split on
+        # its placeholders into one pattern, literals escaped, that an
+        # intensity prompt must match whole.
+        groups = {"language": r"(?P<language>.*?)", "text": r"(?P<text>.*?)", "emotion": r"(?P<emotion>\w+)"}
+        patterns = {
+            TEMPLATE_TRACKS[tid]: re.compile(
+                "".join(groups[p] if i % 2 else re.escape(p) for i, p in enumerate(_PLACEHOLDER.split(t))),
+                re.DOTALL,
+            )
+            for tid, t in TEMPLATES.items()
+        }
+
+        def reference(prompt):
+            match = patterns["B"].fullmatch(prompt)
+            if match:
+                return match["text"], match["emotion"], "B"
+            matches = list(patterns["A"].finditer(prompt))
+            if matches:
+                return matches[-1]["text"], matches[-1]["emotion"], "A"
+            raise ValueError(f"prompt does not match a known template: {prompt[:120]!r}")
+
+        def outcome(read, prompt):
+            try:
+                return read(prompt)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(16)
+        pieces = ESCAPE_FRAGMENTS + ["_", "é", "٣", "\x00", "\n", "Emotion", "joy", " ", "jo_y٣"]
+        words = ["joy", "sadness", "jo_y", "é٣", "_", "", "jo y", "joy\n", "x Emotion y", "\x00"]
+        head, _, separator, _, end = _PLACEHOLDER.split(TEMPLATES["track_b"])
+        outcomes = {"A": 0, "B": 0, "error": 0}
+
+        def text():
+            return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 6)))
+
+        for _ in range(12000):
+            kind = rng.randrange(5)
+            if kind == 0:
+                prompt = render_zero_shot("track_b", text(), text(), rng.choice(["joy", "sadness", "fear"]))
+            elif kind == 1:  # any emotion word, or none, after a whole, partial or missing separator
+                sep = rng.choice([separator, separator, "", separator[1:], separator[:-1]])
+                prompt = head + text() + sep + rng.choice(words) + end
+            elif kind == 2:
+                examples = [(text(), "joy", rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
+                prompt = render_few_shot(examples, text(), text(), "joy")
+            elif kind == 3:
+                prompt = render_zero_shot("track_a", text(), text(), "anger")
+            else:
+                prompt = text()
+            cut = rng.randint(0, len(prompt))
+            mutation = rng.randrange(5)
+            if mutation == 1:
+                prompt = prompt[:cut] if rng.random() < 0.5 else prompt[cut:]
+            elif mutation == 2:
+                prompt = prompt[:cut] + rng.choice(pieces) + prompt[cut:]
+            elif mutation == 3:
+                prompt = prompt[:cut] + prompt[cut + 1 :]
+            expected = outcome(reference, prompt)
+            assert outcome(extract_query, prompt) == expected, prompt
+            outcomes[expected[2] if isinstance(expected, tuple) else "error"] += 1
+        # Every way out of the read-back is taken often.
+        assert min(outcomes.values()) > 1000, outcomes
 
 
 class TestBuiltinMocks:

@@ -10,7 +10,8 @@ from emoharness import (
     render_few_shot,
     render_zero_shot,
 )
-from emoharness.prompting import _PLACEHOLDER, TEMPLATES
+from emoharness import prompting
+from emoharness.prompting import _PLACEHOLDER, TEMPLATES, frame
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_prompts"
 
@@ -31,6 +32,8 @@ class TestZeroShot:
         rendered = render_zero_shot(template, text, language, emotion)
         golden = (GOLDEN_DIR / filename).read_bytes()
         assert rendered.encode("utf-8") == golden
+        head, tail = frame(template, language, emotion)
+        assert (head + text + tail).encode("utf-8") == golden
 
     def test_presence_rendering(self):
         assert render_zero_shot("track_a", "I won!", "English", "joy") == (
@@ -72,8 +75,17 @@ class TestZeroShot:
         assert rendered.count("joy") == 1
 
     def test_unknown_template_id(self):
-        with pytest.raises(ValueError):
-            render_zero_shot("track_c", "x", "English", "joy")
+        with pytest.raises(ValueError, match="unknown template id 'track_c'"):
+            render_zero_shot("track_c", "x", "English", "boredom")
+        with pytest.raises(ValueError, match="unknown template id 'track_c'"):
+            frame("track_c", "English", "joy")
+
+    def test_frame_follows_a_replaced_template(self, monkeypatch):
+        assert frame("track_a", "English", "joy")[0].startswith("You are detecting")
+        parts = ("[", "language", "] ", "text", " (", "emotion", ")")
+        monkeypatch.setitem(prompting._TEMPLATE_PARTS, "track_a", parts)
+        assert frame("track_a", "English", "joy") == ("[English] ", " (joy)")
+        assert render_zero_shot("track_a", "t", "English", "joy") == "[English] t (joy)"
 
     def test_emotion_outside_active_set(self):
         eng = EmotionSet.for_language("eng")
