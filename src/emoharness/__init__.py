@@ -9,8 +9,6 @@ runner with all-or-nothing output directories.
 
 from .corpus import (
     EMOTIONS,
-    TRACK_A,
-    TRACK_B,
     ColumnSchema,
     EmotionSet,
     Snippet,
@@ -55,31 +53,24 @@ from .inference import (
     parse_label,
 )
 from .mocks import (
-    BUILTIN_MOCKS,
     AlwaysZeroMock,
     EchoFirstDigitMock,
     GoldLookupMock,
     KeywordMock,
     build_mock,
 )
-from .prompting import TEMPLATES, TRACK_A_TEMPLATE, TRACK_B_TEMPLATE, frame, render_few_shot, render_zero_shot
-from .retrieval import Bm25Index, Bm25Params, RetrievalConfig, build_index, score, tokenize, top_k
+from .prompting import frame, render_few_shot, render_zero_shot
+from .retrieval import Bm25Params, RetrievalConfig, build_index, score, tokenize, top_k
 from .runner import (
     STRATEGIES,
     DatasetPaths,
-    ExperimentConfig,
-    RunManifest,
     load_config,
     run,
     validate_config,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "EMOTIONS",
-    "TRACK_A",
-    "TRACK_B",
     "ColumnSchema",
     "EmotionSet",
     "Snippet",
@@ -114,19 +105,14 @@ __all__ = [
     "PredictionRecord",
     "RawCompletion",
     "parse_label",
-    "BUILTIN_MOCKS",
     "AlwaysZeroMock",
     "EchoFirstDigitMock",
     "GoldLookupMock",
     "KeywordMock",
     "build_mock",
-    "TEMPLATES",
-    "TRACK_A_TEMPLATE",
-    "TRACK_B_TEMPLATE",
     "frame",
     "render_few_shot",
     "render_zero_shot",
-    "Bm25Index",
     "Bm25Params",
     "RetrievalConfig",
     "build_index",
@@ -135,10 +121,7 @@ __all__ = [
     "top_k",
     "STRATEGIES",
     "DatasetPaths",
-    "ExperimentConfig",
-    "RunManifest",
     "load_config",
     "run",
     "validate_config",
-    "__version__",
 ]

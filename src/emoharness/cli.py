@@ -30,7 +30,7 @@ def _read_predictions(path: Path) -> list[PredictionRecord]:
                     if not isinstance(payload, dict):
                         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
                     records.append(PredictionRecord.from_dict(payload))
-                except (ValueError, KeyError, ValidationError) as exc:
+                except (ValueError, KeyError, RecursionError, ValidationError) as exc:
                     raise ValidationError(f"{path}: line {line_no}: bad prediction record: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: cannot read predictions: {exc}") from exc

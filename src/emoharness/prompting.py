@@ -8,21 +8,20 @@ import re
 from .corpus import EMOTIONS, TRACK_A, TRACK_B, EmotionSet
 from .errors import ValidationError
 
-TRACK_A_TEMPLATE = (
-    "You are detecting emotions on a statement written in {language}. "
-    "Statement: {text}. Does this statement express {emotion}? "
-    "Answer 1 for yes and 0 for no."
-)
-
-TRACK_B_TEMPLATE = (
-    "Task: Categorize the tweet into an intensity level of the specified "
-    "emotion E, representing the mental state of the tweeter. "
-    "0: no E can be inferred. 1: low amount of E can be inferred. "
-    "2: moderate amount of E can be inferred. 3: high amount of E can be "
-    "inferred. Tweet: {text} Emotion {emotion} Intensity class:"
-)
-
-TEMPLATES = {"track_a": TRACK_A_TEMPLATE, "track_b": TRACK_B_TEMPLATE}
+TEMPLATES = {
+    "track_a": (
+        "You are detecting emotions on a statement written in {language}. "
+        "Statement: {text}. Does this statement express {emotion}? "
+        "Answer 1 for yes and 0 for no."
+    ),
+    "track_b": (
+        "Task: Categorize the tweet into an intensity level of the specified "
+        "emotion E, representing the mental state of the tweeter. "
+        "0: no E can be inferred. 1: low amount of E can be inferred. "
+        "2: moderate amount of E can be inferred. 3: high amount of E can be "
+        "inferred. Tweet: {text} Emotion {emotion} Intensity class:"
+    ),
+}
 
 #: The track each template renders prompts for: the one pairing of the two.
 TEMPLATE_TRACKS = {"track_a": TRACK_A, "track_b": TRACK_B}

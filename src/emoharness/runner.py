@@ -279,7 +279,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # PyYAML recurses once per nesting level
         # PyYAML's message spans lines; an error is reported as one line.
         raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
     return validate_config(raw, base_dir=path.parent)

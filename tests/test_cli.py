@@ -210,6 +210,15 @@ class TestScoreCommand:
         assert main(["score", str(gold), str(bad), "--language", "eng"]) == 1
         assert capsys.readouterr().err == f"error: {bad}: line 3: bad prediction record: missing key 'parsed'\n"
 
+    def test_score_line_nested_past_the_recursion_limit_names_it(self, workdir, capsys):
+        gold, preds = self.gold_and_predictions(workdir)
+        lines = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "[" * 200_000 + "\n"
+        preds.write_text("".join(lines), encoding="utf-8")
+        assert main(["score", str(gold), str(preds), "--language", "eng"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {preds}: line 3: bad prediction record: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -414,6 +423,15 @@ class TestInputsRejectedByName:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: cannot read config: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "export-sft", "retrieve"])
+    def test_config_nested_past_the_recursion_limit_is_an_error(self, workdir, capsys, command):
+        cfg = workdir / "deep.yaml"
+        cfg.write_text("x: " + "[" * 2000 + "\n", encoding="utf-8")
+        argv = [command, str(cfg)] + (["--query", "joy"] if command == "retrieve" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not valid YAML: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "command, key",

@@ -320,6 +320,20 @@ def argv_case(rng):
     return "argv-" + " ".join(map(repr, argv)), setup
 
 
+# --- nesting past the recursion limit --------------------------------------
+
+
+def deep_predictions_case():
+    def setup(path):
+        preds = path / "preds.jsonl"
+        lines = preds.read_text(encoding="utf-8").splitlines()
+        lines[2] = "[" * 200_000
+        preds.write_text("".join(x + "\n" for x in lines), encoding="utf-8")
+        return argv_for("score", path)
+
+    return "predictions-line-nested-200000-deep", setup
+
+
 def _cases():
     """Every case as (id, setup); ``setup(workdir)`` writes the case's input
     and returns its argument list."""
@@ -333,6 +347,7 @@ def _cases():
     ]
     cases += [prediction_case(rng) for _ in range(80)]
     cases += [argv_case(rng) for _ in range(60)]
+    cases += [config_file_case("nested-2000-deep", b"x: " + b"[" * 2000 + b"\n"), deep_predictions_case()]
     return [(f"{n:03d}-{case_id}", setup) for n, (case_id, setup) in enumerate(cases)]
 
 
