@@ -145,6 +145,8 @@ def export_ebridge_plan(
     Stage 1 must be entirely English; stage 2 must be a single non-English
     language. A ``plan.json`` manifest records the stage order.
     """
+    if not english_instances or not target_instances:
+        raise ValidationError(f"stage {2 if english_instances else 1} has no instances")
     eng_langs = {i.language for i in english_instances}
     if eng_langs != {"eng"}:
         raise ValidationError(f"stage 1 must be English only; got languages {sorted(eng_langs)}")

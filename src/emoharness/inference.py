@@ -116,8 +116,8 @@ class PredictionRecord:
         return 0 if self.parsed is None else self.parsed
 
     def as_dict(self) -> dict:
-        # Written out rather than ``asdict``: it runs once per prediction,
-        # and this takes about 0.3 us against about 11 us for ``asdict``.
+        # The inverse of ``from_dict``, and the oracle that
+        # ``exports.write_predictions`` is tested against line by line.
         return {
             "snippet_id": self.snippet_id,
             "emotion": self.emotion,
@@ -231,10 +231,6 @@ def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> t
                 reused = False
                 continue
             raise TransportError(f"request to {url} failed: {exc}") from exc
-
-
-def _is_retryable_status(status: int) -> bool:
-    return status == 429 or 500 <= status <= 599
 
 
 @dataclass
@@ -355,7 +351,7 @@ class CompletionClient:
                 if status == 200:
                     return self._extract_content(body), attempt
                 last_failure = TransportError(f"endpoint returned HTTP {status}", status=status)
-                if not _is_retryable_status(status):
+                if status != 429 and not 500 <= status <= 599:  # not a status worth retrying
                     raise last_failure
             if attempt < attempts_allowed:
                 delay = _BACKOFF_BASE_SECONDS * (2 ** (attempt - 1))

@@ -44,30 +44,20 @@ _PRESENCE_QUERY = re.compile(
 _WORD = re.compile(r"\w+")
 
 
-def _parts(template_id: str) -> tuple[str, ...]:
-    parts = _TEMPLATE_PARTS.get(template_id)
-    if parts is None:
-        raise ValueError(f"unknown template id {template_id!r}")
-    return parts
-
-
-# Keyed by the template's parts, not its id, so a replaced template never
-# reads back a frame cached for the old one.
 @functools.lru_cache(maxsize=256)
-def _frame(parts: tuple[str, ...], language: str, emotion: str) -> tuple[str, str]:
-    at = 2 * parts[1::2].index("text") + 1
-    values = {"language": language, "emotion": emotion}
-    filled = [values[part] if i % 2 else part for i, part in enumerate(parts) if i != at]
-    return "".join(filled[:at]), "".join(filled[at:])
-
-
 def frame(template_id: str, language: str, emotion: str) -> tuple[str, str]:
     """The template text around ``{text}`` as ``(head, tail)``, with the
     language and emotion filled in: a zero-shot prompt is ``head + text + tail``.
 
     The emotion is not checked here; ``render_zero_shot`` checks it.
     """
-    return _frame(_parts(template_id), language, emotion)
+    parts = _TEMPLATE_PARTS.get(template_id)
+    if parts is None:
+        raise ValueError(f"unknown template id {template_id!r}")
+    at = 2 * parts[1::2].index("text") + 1
+    values = {"language": language, "emotion": emotion}
+    filled = [values[part] if i % 2 else part for i, part in enumerate(parts) if i != at]
+    return "".join(filled[:at]), "".join(filled[at:])
 
 
 def render_zero_shot(
@@ -84,11 +74,10 @@ def render_zero_shot(
     re-expanded. ``emotion`` is checked against ``emotion_set`` when given,
     else against the six known emotions.
     """
-    parts = _parts(template_id)
+    head, tail = frame(template_id, language, emotion)
     allowed = emotion_set.emotions if emotion_set is not None else EMOTIONS
     if emotion not in allowed:
         raise ValidationError(f"emotion {emotion!r} not in active set {list(allowed)}")
-    head, tail = _frame(parts, language, emotion)
     return head + text + tail
 
 

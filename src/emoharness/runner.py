@@ -272,11 +272,35 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     return config
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader``, except that a mapping may not set a key twice,
+    where ``safe_load`` keeps the last value. Keys that a ``<<`` merge brings
+    in are not the mapping's own, so setting one again overrides it."""
+
+    def construct_document(self, node):
+        self._check_keys(node, "", set())
+        return super().construct_document(node)
+
+    def _check_keys(self, node: yaml.Node, path: str, seen: set[int]) -> None:
+        # Lists are not walked: no config key takes a mapping inside a list.
+        if not isinstance(node, yaml.MappingNode) or id(node) in seen:
+            return  # a scalar, a list, or an alias of a mapping already checked
+        seen.add(id(node))
+        keys = set()
+        for key, value in node.value:
+            if isinstance(key, yaml.ScalarNode):  # a list or mapping as a key fails construction
+                name = f"{path}.{key.value}" if path else key.value
+                if (key.tag, key.value) in keys:
+                    raise yaml.YAMLError(f"line {key.start_mark.line + 1}: repeated key {name}")
+                keys.add((key.tag, key.value))
+                self._check_keys(value, name, seen)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a YAML config file; relative paths resolve against its directory."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except (yaml.YAMLError, RecursionError) as exc:  # PyYAML recurses once per nesting level
@@ -333,42 +357,31 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
             counts = _execute_run(config, mock, staging, stage_seconds)
         else:
             counts = _execute_export(config, staging, stage_seconds)
+        # The manifest hashes every other artifact, so it is written last and
+        # carries no hash of itself, nor the time spent publishing.
+        with _stage("publish", {}):
+            artifacts = {str(p.relative_to(staging)): _sha256(p) for p in sorted(staging.rglob("*")) if p.is_file()}
+            timing = {
+                "started": started_at,
+                "finished": datetime.now(timezone.utc).isoformat(),
+                "seconds": time.monotonic() - started,
+                "stages": stage_seconds,
+            }
+            manifest = RunManifest(config=config.snapshot(), artifacts=artifacts, counts=counts, timing=timing)
+            write_json(staging / "manifest.json", asdict(manifest))
+            os.replace(staging, out_dir)
     except RunStageError as exc:
-        cause = exc.__cause__
         write_json(
             staging / "error.json",
             {
                 "stage": exc.stage,
-                "error": type(cause).__name__ if cause else type(exc).__name__,
+                "error": type(exc.__cause__).__name__,
                 "message": str(exc),
                 "time": datetime.now(timezone.utc).isoformat(),
             },
         )
         log.error("run failed; partial artifacts quarantined in %s", staging)
         raise
-
-    finished_at = datetime.now(timezone.utc).isoformat()
-    artifacts = {
-        str(p.relative_to(staging)): _sha256(p)
-        for p in sorted(staging.rglob("*"))
-        if p.is_file()
-    }
-    timing = {
-        "started": started_at,
-        "finished": finished_at,
-        "seconds": time.monotonic() - started,
-        "stages": stage_seconds,
-    }
-    manifest = RunManifest(
-        config=config.snapshot(),
-        artifacts=artifacts,
-        counts=counts,
-        timing=timing,
-    )
-    # The manifest hashes every other artifact, so it is written last and
-    # carries no hash of itself.
-    write_json(staging / "manifest.json", asdict(manifest))
-    os.replace(staging, out_dir)
     return manifest
 
 

@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -11,6 +15,9 @@ import yaml
 from emoharness import Bm25Params, ColumnSchema, DatasetPaths, EmotionSet, EndpointConfig, RetrievalConfig
 from emoharness.cli import main
 from datagen import make_snippets, write_csv
+
+#: The checkout's source tree, put on a child interpreter's path.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -82,6 +89,15 @@ class TestRunCommand:
     def test_run_missing_config_is_an_error(self, workdir, capsys):
         assert main(["run", str(workdir / "absent.yaml")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_run_with_a_repeated_key_is_an_error(self, workdir, capsys):
+        cfg = run_config(workdir)
+        with cfg.open("a", encoding="utf-8") as fh:
+            fh.write("mock: always-0\n")
+        assert main(["run", str(cfg)]) == 1
+        line = len(cfg.read_text(encoding="utf-8").splitlines())
+        assert capsys.readouterr().err == f"error: {cfg}: not valid YAML: line {line}: repeated key mock\n"
+        assert not (workdir / "out").exists()
 
     def test_run_twice_refuses_to_overwrite(self, workdir, capsys):
         cfg = run_config(workdir)
@@ -470,3 +486,24 @@ class TestInputsRejectedByName:
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+class TestModuleEntryPoint:
+    """``python -m emoharness`` is the console script under another name."""
+
+    def _module(self, *args, cwd):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "emoharness", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_help_exits_zero(self, tmp_path):
+        done = self._module("--help", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: ")
+
+    def test_missing_config_exits_one_with_one_error_line(self, tmp_path):
+        done = self._module("run", "absent.yaml", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: absent.yaml: cannot read config: ")
+        assert done.stderr.count("\n") == 1, done.stderr

@@ -18,7 +18,7 @@ from emoharness import (
     export_sft_dataset,
     render_zero_shot,
 )
-from emoharness import exports, prompting
+from emoharness import exports
 from emoharness.exports import _encode_line, write_predictions
 from emoharness.prompting import TEMPLATE_IDS
 from datagen import escape_text
@@ -208,10 +208,9 @@ class TestExportBytes:
         with pytest.raises(UnicodeEncodeError):
             export_sft_dataset([inst("s1", "bad \ud800", "joy", 1)], "A", tmp_path / "sft.jsonl")
 
-    def test_template_literals_that_json_escapes(self, tmp_path, monkeypatch):
+    def test_template_literals_that_json_escapes(self, tmp_path, replace_template):
         # A template may hold any character; each line is still what the encoder writes.
-        parts = ('Say "\\', "language", '\x01" of ', "text", "\x00\n\\is ", "emotion", '"?')
-        monkeypatch.setitem(prompting._TEMPLATE_PARTS, "track_a", parts)
+        replace_template("track_a", ('Say "\\', "language", '\x01" of ', "text", "\x00\n\\is ", "emotion", '"?'))
         instances = escape_instances("A")
         out = tmp_path / "sft.jsonl"
         export_sft_dataset(instances, "A", out)
@@ -297,6 +296,14 @@ class TestExportEbridgePlan:
                 "A",
                 tmp_path,
             )
+
+    @pytest.mark.parametrize("empty_stage", [1, 2])
+    def test_empty_stage_is_named(self, tmp_path, empty_stage):
+        eng = [] if empty_stage == 1 else self._instances("eng")
+        deu = [] if empty_stage == 2 else self._instances("deu")
+        with pytest.raises(ValidationError, match=f"^stage {empty_stage} has no instances$"):
+            export_ebridge_plan(eng, deu, "A", tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_round_trip_counts(self, tmp_path):
         eng = self._instances("eng", count=6)

@@ -348,6 +348,7 @@ def _cases():
     cases += [prediction_case(rng) for _ in range(80)]
     cases += [argv_case(rng) for _ in range(60)]
     cases += [config_file_case("nested-2000-deep", b"x: " + b"[" * 2000 + b"\n"), deep_predictions_case()]
+    cases += [config_file_case("repeated-key", yaml.safe_dump(CONFIGS["run"]).encode() + b"seed: 4\n")]
     return [(f"{n:03d}-{case_id}", setup) for n, (case_id, setup) in enumerate(cases)]
 
 

@@ -10,7 +10,6 @@ from emoharness import (
     render_few_shot,
     render_zero_shot,
 )
-from emoharness import prompting
 from emoharness.prompting import _PLACEHOLDER, TEMPLATES, frame
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_prompts"
@@ -80,10 +79,9 @@ class TestZeroShot:
         with pytest.raises(ValueError, match="unknown template id 'track_c'"):
             frame("track_c", "English", "joy")
 
-    def test_frame_follows_a_replaced_template(self, monkeypatch):
+    def test_frame_follows_a_replaced_template(self, replace_template):
         assert frame("track_a", "English", "joy")[0].startswith("You are detecting")
-        parts = ("[", "language", "] ", "text", " (", "emotion", ")")
-        monkeypatch.setitem(prompting._TEMPLATE_PARTS, "track_a", parts)
+        replace_template("track_a", ("[", "language", "] ", "text", " (", "emotion", ")"))
         assert frame("track_a", "English", "joy") == ("[English] ", " (joy)")
         assert render_zero_shot("track_a", "t", "English", "joy") == "[English] t (joy)"
 

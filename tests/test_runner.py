@@ -333,6 +333,32 @@ class TestLoadConfig:
         assert config.dataset.test == tmp_path / "data" / "test.csv"
         assert config.output_dir == tmp_path / "out"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed: 1\nmock: keyword\nseed: 2\n", "line 3: repeated key seed"),
+            ("mock: keyword\n'mock': always-0\n", "line 2: repeated key mock"),
+            ("endpoint:\n  timeout: 3\n  model_name: m\n  timeout: 4\n", "line 4: repeated key endpoint.timeout"),
+            ("emotions: [joy]\ncolumns: {emotions: {joy: a, joy: b}}\n", "line 2: repeated key columns.emotions.joy"),
+            ("b: &b {k1: 1.0}\nbm25:\n  <<: *b\n  b: 0.5\n  b: 0.7\n", "line 5: repeated key bm25.b"),
+        ],
+        ids=["root", "quoted", "nested", "deeper", "after-a-merge"],
+    )
+    def test_repeated_key_reported(self, tmp_path, text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == f"{path}: not valid YAML: {message}"
+
+    def test_key_set_over_a_merge_is_not_repeated(self, tmp_path):
+        raw = minimal_raw()
+        del raw["seed"], raw["mock"]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw) + "<<: {seed: 1, mock: keyword}\nseed: 2\n", encoding="utf-8")
+        config = load_config(path)
+        assert (config.seed, config.mock_id) == (2, "keyword")
+
     def test_invalid_yaml_reported(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("track: [unclosed", encoding="utf-8")
@@ -530,6 +556,27 @@ class TestRunPipeline:
         assert excinfo.value.stage == "infer"
         assert not config.output_dir.exists()
         assert (tmp_path / "out.partial" / "error.json").exists()
+
+    def test_publish_failure_quarantines(self, tmp_path, eng_test_csv):
+        csv_path, _ = eng_test_csv
+        config = base_config(tmp_path, csv_path)
+
+        class Squatter:
+            """Fills the output directory while the run is still inferring."""
+
+            def respond(self, prompt):
+                config.output_dir.mkdir(exist_ok=True)
+                (config.output_dir / "squatter.txt").write_text("taken\n", encoding="utf-8")
+                return "0"
+
+        with pytest.raises(RunStageError) as excinfo:
+            run(config, mock=Squatter())
+        assert excinfo.value.stage == "publish"
+        error = json.loads((tmp_path / "out.partial" / "error.json").read_text(encoding="utf-8"))
+        assert error["stage"] == "publish"
+        assert error["error"] == type(excinfo.value.__cause__).__name__ == "OSError"
+        assert error["message"].startswith("[stage=publish] ")
+        assert [p.name for p in config.output_dir.iterdir()] == ["squatter.txt"]
 
     def test_existing_output_dir_rejected_before_any_io(self, tmp_path, eng_test_csv):
         csv_path, _ = eng_test_csv
