@@ -41,7 +41,7 @@ neighbours = top_k(index, query_text, RetrievalConfig(k=2))
 examples = []
 for doc_id, _ in neighbours:
     snippet = next(s for s in train if s.id == doc_id)
-    examples.append((snippet.text, "joy", snippet.labels["joy"]))
+    examples.append((snippet.text, snippet.labels["joy"]))
 
 print("\n--- track A, 2-shot " + "-" * 43)
 print(render_few_shot(examples, query_text, "English", "joy", emotion_set=emotion_set))

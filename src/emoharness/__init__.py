@@ -54,7 +54,6 @@ from .inference import (
 )
 from .mocks import (
     AlwaysZeroMock,
-    EchoFirstDigitMock,
     GoldLookupMock,
     KeywordMock,
     build_mock,
@@ -106,7 +105,6 @@ __all__ = [
     "RawCompletion",
     "parse_label",
     "AlwaysZeroMock",
-    "EchoFirstDigitMock",
     "GoldLookupMock",
     "KeywordMock",
     "build_mock",

@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import TRACK_A, TRACK_B, ColumnSchema, EmotionSet, load_dataset
@@ -71,7 +72,7 @@ def _cmd_score(args) -> int:
     print(report.format_table())
     if args.json_out is not None:
         try:
-            write_json(args.json_out, report.as_dict())
+            write_json(args.json_out, asdict(report))
         except OSError as exc:
             raise ConfigError(f"--json-out {args.json_out}: cannot write report: {exc}") from exc
     return 0

@@ -7,7 +7,7 @@ so permuting either input cannot change a score.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class MetricsReport:
     per_emotion: dict[str, float]
     average: float
     counts: dict
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def format_table(self) -> str:
         width = max(len(e) for e in list(self.per_emotion) + ["average"]) + 2

@@ -22,7 +22,7 @@ import urllib.request
 from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .corpus import ASCII_DIGITS, check_labels, label_range
 from .errors import ConfigError, ProtocolError, TransportError
@@ -56,6 +56,12 @@ class EndpointConfig:
     api_key_env: str = "EMOHARNESS_API_KEY"
 
     def __post_init__(self):
+        # "/chat/completions" is appended to the URL, so it must end in its path.
+        if "?" in self.base_url or "#" in self.base_url:
+            raise ConfigError("base_url must not hold a query or fragment ('?' or '#')")
+        # Before any message below shows the URL, which must not show a password.
+        if "@" in self.base_url.split("://", 1)[-1].partition("/")[0]:
+            raise ConfigError("base_url must not hold credentials (user:password@); the key comes from api_key_env")
         if not self.base_url.lower().startswith(("http://", "https://")):
             raise ConfigError(f"base_url must start with http:// or https://, got {self.base_url!r}")
         # Checked here, once: a request to a malformed address fails the same
@@ -81,9 +87,6 @@ class EndpointConfig:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.concurrency_limit < 1:
             raise ConfigError(f"concurrency_limit must be >= 1, got {self.concurrency_limit}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,38 +183,39 @@ def _open_connection(origin: tuple[str, str, float]) -> _Connection:
     ``CONNECT`` tunnel; the proxy itself is spoken to in plain HTTP."""
     scheme, host, timeout = origin
     https = scheme == "https"
+    cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
     proxy = urllib.request.getproxies().get(scheme)
     if not proxy or urllib.request.proxy_bypass(host):
-        cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
         return _Connection(origin, cls(host, timeout=timeout), "", {})
-    parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    try:
+        parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        parts.port  # raises for a non-numeric or out-of-range port
+        conn = cls(parts.netloc.rpartition("@")[2], timeout=timeout)
+    except (ValueError, http.client.InvalidURL):  # also an unclosed "[" or a control character
+        # Every retry would fail the same way. The value is not shown: it may hold a password.
+        raise ConfigError(f"{scheme}_proxy is not a valid proxy URL: malformed host or port") from None
     proxy_headers = {}
     if parts.username is not None:
         user = urllib.parse.unquote(parts.username)
         password = urllib.parse.unquote(parts.password or "")
         token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
         proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-    proxy_host = parts.netloc.rpartition("@")[2]
     if not https:
-        # From the origin, not the URL: a target carries no userinfo (RFC 9110, 4.2.4).
-        conn = http.client.HTTPConnection(proxy_host, timeout=timeout)
         return _Connection(origin, conn, f"{scheme}://{host}", proxy_headers)
-    conn = http.client.HTTPSConnection(proxy_host, timeout=timeout)
     conn.set_tunnel(host, headers=proxy_headers)
     return _Connection(origin, conn, "", {})
 
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
-    try:
-        parts = urllib.parse.urlsplit(url)
-        origin = (parts.scheme.lower(), parts.netloc.rpartition("@")[2], timeout)
-        held = getattr(_connections, "held", None)
-        if held is None or held.origin != origin:
-            held = _connections.held = _open_connection(origin)
-    except (ValueError, http.client.HTTPException) as exc:  # a malformed host, port or proxy URL
-        raise TransportError(f"request to {url} failed: {exc}") from exc
+    # ``EndpointConfig`` has checked the URL: no userinfo, query or fragment,
+    # and a valid host and port.
+    parts = urllib.parse.urlsplit(url)
+    origin = (parts.scheme.lower(), parts.netloc, timeout)
+    held = getattr(_connections, "held", None)
+    if held is None or held.origin != origin:
+        held = _connections.held = _open_connection(origin)
     conn = held.conn
-    target = held.target_prefix + parts.path + (f"?{parts.query}" if parts.query else "")
+    target = held.target_prefix + parts.path
     body = json.dumps(payload).encode("utf-8")
     if held.proxy_headers:
         headers = {**headers, **held.proxy_headers}
@@ -338,6 +342,11 @@ class CompletionClient:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
+            # Checked before any send: a header with a control or non-ASCII
+            # character fails inside http.client, whose message shows it.
+            if not (api_key.isascii() and api_key.isprintable()):
+                name = self.config.api_key_env
+                raise ConfigError(f"api_key_env: the key in {name} holds a character outside printable ASCII")
             headers["Authorization"] = f"Bearer {api_key}"
 
         attempts_allowed = self.config.max_retries + 1

@@ -13,19 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import ASCII_DIGITS, LABEL_RANGES, TRACK_A, TRACK_B, TaskInstance
+from .corpus import LABEL_RANGES, TRACK_A, TRACK_B, TaskInstance
 from .errors import ConfigError
 from .prompting import extract_query
-
-
-class EchoFirstDigitMock:
-    """Replies with the first ASCII digit in the prompt, or "0"."""
-
-    def respond(self, prompt: str) -> str:
-        for ch in prompt:
-            if ch in ASCII_DIGITS:
-                return ch
-        return "0"
 
 
 class AlwaysZeroMock:
@@ -69,7 +59,6 @@ class GoldLookupMock:
 
 
 BUILTIN_MOCKS = {
-    "echo-first-digit": EchoFirstDigitMock,
     "always-0": AlwaysZeroMock,
     "keyword": KeywordMock,
 }

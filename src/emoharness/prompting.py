@@ -106,7 +106,7 @@ def extract_query(prompt: str) -> tuple[str, str, str]:
 
 
 def render_few_shot(
-    examples: list[tuple[str, str, int]],
+    examples: list[tuple[str, int]],
     query_text: str,
     language: str,
     emotion: str,
@@ -114,20 +114,17 @@ def render_few_shot(
 ) -> str:
     """Assemble a k-shot presence prompt from retrieved labelled examples.
 
-    Each example ``(text, emotion, gold)`` becomes the zero-shot presence
-    prompt followed by an ``Answer: {gold}`` line; blocks are separated by
-    blank lines and the query's zero-shot prompt comes last. No examples
-    degenerates to plain zero-shot rendering.
+    Each example ``(text, gold)``, labelled for the queried emotion, becomes
+    the zero-shot presence prompt followed by an ``Answer: {gold}`` line;
+    blocks are separated by blank lines and the query's zero-shot prompt
+    comes last. No examples degenerates to plain zero-shot rendering.
     """
+    query = render_zero_shot("track_a", query_text, language, emotion, emotion_set)
+    head, tail = frame("track_a", language, emotion)
     blocks = []
-    for example_text, example_emotion, gold in examples:
-        if example_emotion != emotion:
-            raise ValidationError(
-                f"example is labelled for {example_emotion!r}, not the queried {emotion!r}"
-            )
+    for text, gold in examples:
         if type(gold) is not int or gold not in (0, 1):
             raise ValidationError(f"example gold {gold!r} is not a presence label")
-        rendered = render_zero_shot("track_a", example_text, language, example_emotion, emotion_set)
-        blocks.append(f"{rendered}\nAnswer: {gold}")
-    blocks.append(render_zero_shot("track_a", query_text, language, emotion, emotion_set))
+        blocks.append(f"{head}{text}{tail}\nAnswer: {gold}")
+    blocks.append(query)
     return "\n\n".join(blocks)

@@ -95,10 +95,8 @@ class Bm25Index:
     params: Bm25Params
     doc_ids: tuple[str, ...]
     doc_count: int
-    doc_lengths: tuple[int, ...]
     avgdl: float
     term_frequencies: tuple[dict[str, int], ...]
-    document_frequency: dict[str, int]
     idf: dict[str, float]
     postings: dict[str, tuple[int, int]]  # term -> slice of posting_docs/posting_weights
     posting_docs: np.ndarray  # document positions, ascending within each term
@@ -122,7 +120,8 @@ class Bm25Index:
             f"k1={self.params.k1} b={self.params.b} epsilon={self.params.idf_floor_epsilon}",
         ]
         for term in sorted(self.idf):
-            lines.append(f"  {term}\tdf={self.document_frequency[term]}\tidf={self.idf[term]:.6f}")
+            start, end = self.postings[term]
+            lines.append(f"  {term}\tdf={end - start}\tidf={self.idf[term]:.6f}")
         return "\n".join(lines)
 
 
@@ -183,10 +182,8 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
         params=params,
         doc_ids=doc_ids,
         doc_count=doc_count,
-        doc_lengths=doc_lengths,
         avgdl=avgdl,
         term_frequencies=term_frequencies,
-        document_frequency=document_frequency,
         idf=idf,
         postings=postings,
         posting_docs=posting_docs,
@@ -204,7 +201,7 @@ def score(index: Bm25Index, query: str, doc_id: str) -> float:
     position = index.position(doc_id)
     tf = index.term_frequencies[position]
     params = index.params
-    norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths[position] / index.avgdl)
+    norm = params.k1 * (1.0 - params.b + params.b * sum(tf.values()) / index.avgdl)
     total = 0.0
     for token in tokenize(query):
         freq = tf.get(token)

@@ -371,6 +371,9 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
             write_json(staging / "manifest.json", asdict(manifest))
             os.replace(staging, out_dir)
     except RunStageError as exc:
+        # A failed publish leaves the manifest behind; without it the
+        # quarantined directory cannot pass for a finished run.
+        (staging / "manifest.json").unlink(missing_ok=True)
         write_json(
             staging / "error.json",
             {
@@ -420,7 +423,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
 
         def render(inst):
             examples = [
-                (train_by_id[doc_id].text, inst.emotion, train_by_id[doc_id].labels[inst.emotion])
+                (train_by_id[doc_id].text, train_by_id[doc_id].labels[inst.emotion])
                 for doc_id, _ in hits_by_snippet[inst.snippet_id]
             ]
             return render_few_shot(examples, inst.text, language, inst.emotion, emotion_set)
@@ -464,7 +467,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
 
     with _stage("score", stage_seconds):
         report = score_predictions(snippets, vectors, records, config.track)
-        write_json(staging / "report.json", report.as_dict())
+        write_json(staging / "report.json", asdict(report))
         (staging / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
 
     return {**counts, "parse_failures": report.counts["parse_failures"], "attempts": attempts}

@@ -324,7 +324,8 @@ class TestMetricsReport:
 
     def test_as_dict_round_trips_through_json(self):
         import json
+        from dataclasses import asdict
 
         gold = [vec("s1", {e: 0 for e in EMO}), vec("s2", {e: 1 for e in EMO})]
         report = macro_f1(gold, gold)
-        assert json.loads(json.dumps(report.as_dict()))["metric_kind"] == "macro_f1"
+        assert json.loads(json.dumps(asdict(report)))["metric_kind"] == "macro_f1"

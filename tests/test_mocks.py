@@ -8,7 +8,6 @@ import pytest
 from emoharness import (
     AlwaysZeroMock,
     ConfigError,
-    EchoFirstDigitMock,
     GoldLookupMock,
     KeywordMock,
     TaskInstance,
@@ -49,7 +48,7 @@ class TestExtractQuery:
 
     @pytest.mark.parametrize("text,language", ROUND_TRIP_CASES)
     def test_few_shot_prompt_returns_final_query(self, text, language):
-        prompt = render_few_shot([("example text", "joy", 1)], text, language, "joy")
+        prompt = render_few_shot([("example text", 1)], text, language, "joy")
         assert extract_query(prompt) == (text, "joy", "A")
 
     def test_unrecognized_prompt(self):
@@ -101,7 +100,7 @@ class TestExtractQuery:
                 sep = rng.choice([separator, separator, "", separator[1:], separator[:-1]])
                 prompt = head + text() + sep + rng.choice(words) + end
             elif kind == 2:
-                examples = [(text(), "joy", rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
+                examples = [(text(), rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
                 prompt = render_few_shot(examples, text(), text(), "joy")
             elif kind == 3:
                 prompt = render_zero_shot("track_a", text(), text(), "anger")
@@ -123,12 +122,6 @@ class TestExtractQuery:
 
 
 class TestBuiltinMocks:
-    def test_echo_first_digit(self):
-        prompt = render_zero_shot("track_a", "plain words", "English", "joy")
-        # The first digit in the presence template is the "1" of "Answer 1".
-        assert EchoFirstDigitMock().respond(prompt) == "1"
-        assert EchoFirstDigitMock().respond("no digits at all") == "0"
-
     def test_always_zero(self):
         assert AlwaysZeroMock().respond("anything") == "0"
 
@@ -147,7 +140,6 @@ class TestBuiltinMocks:
         assert mock.respond(many) == "3"  # capped at the intensity ceiling
 
     def test_build_mock_ids(self):
-        assert isinstance(build_mock("echo-first-digit"), EchoFirstDigitMock)
         assert isinstance(build_mock("always-0"), AlwaysZeroMock)
         assert isinstance(build_mock("keyword"), KeywordMock)
 

@@ -102,7 +102,7 @@ class TestZeroShot:
 
 class TestFewShot:
     def test_single_example_structure(self):
-        prompt = render_few_shot([("Great win today", "joy", 1)], "I lost", "English", "joy")
+        prompt = render_few_shot([("Great win today", 1)], "I lost", "English", "joy")
         assert prompt.count("You are detecting emotions") == 2
         assert "Answer: 1" in prompt
         assert prompt.endswith("Answer 1 for yes and 0 for no.")
@@ -116,7 +116,7 @@ class TestFewShot:
 
     def test_example_order_preserved(self):
         prompt = render_few_shot(
-            [("happy text", "joy", 1), ("flat text", "joy", 0)],
+            [("happy text", 1), ("flat text", 0)],
             "query text",
             "English",
             "joy",
@@ -124,23 +124,19 @@ class TestFewShot:
         assert prompt.index("Answer: 1") < prompt.index("Answer: 0")
         assert prompt.count("Answer: ") == 2
 
-    def test_example_emotion_must_match_query(self):
-        with pytest.raises(ValidationError):
-            render_few_shot([("a", "fear", 1)], "q", "English", "joy")
-
     def test_example_gold_must_be_presence_label(self):
         with pytest.raises(ValidationError):
-            render_few_shot([("a", "joy", 3)], "q", "English", "joy")
+            render_few_shot([("a", 3)], "q", "English", "joy")
 
     @pytest.mark.parametrize("gold", [True, 1.0], ids=["bool", "float"])
     def test_example_gold_must_be_an_int(self, gold):
         # Rendering would write "Answer: True" or "Answer: 1.0".
         with pytest.raises(ValidationError, match=rf"gold {gold!r} is not a presence label"):
-            render_few_shot([("a", "joy", gold)], "q", "English", "joy")
+            render_few_shot([("a", gold)], "q", "English", "joy")
 
     def test_blocks_separated_by_blank_line(self):
         prompt = render_few_shot(
-            [("one", "joy", 0), ("two", "joy", 1), ("three", "joy", 0)],
+            [("one", 0), ("two", 1), ("three", 0)],
             "query",
             "English",
             "joy",

@@ -86,7 +86,7 @@ class TestBuildIndex:
         rng = random.Random(0)
         corpus = [(f"d{i}", " ".join(rng.choice("abcde") for _ in range(6))) for i in range(20)]
         index = build_index(corpus, P)
-        assert all(1 <= n <= index.doc_count for n in index.document_frequency.values())
+        assert all(1 <= end - start <= index.doc_count for start, end in index.postings.values())
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

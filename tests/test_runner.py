@@ -523,6 +523,22 @@ class TestRunPipeline:
         assert manifest.counts["requests"] == manifest.counts["instances"] == 8 * len(es)
         assert manifest.counts["attempts"] == len(prompts) == len(set(prompts)) == 6 * len(es)
 
+    def test_bad_api_key_stays_out_of_the_quarantine(self, tmp_path, eng_test_csv, monkeypatch, caplog):
+        csv_path, _ = eng_test_csv
+        monkeypatch.setenv("EMOHARNESS_API_KEY", "sk-SECRET\n")
+        raw = endpoint_raw(output_dir=str(tmp_path / "out"), dataset={"test": str(csv_path)})
+        raw["endpoint"].update(base_url="http://127.0.0.1:9/v1", max_retries=0)
+        with caplog.at_level("DEBUG"), pytest.raises(RunStageError) as excinfo:
+            run(validate_config(raw))
+        assert excinfo.value.stage == "infer"
+        partial = tmp_path / "out.partial"
+        error = json.loads((partial / "error.json").read_text(encoding="utf-8"))
+        assert error["error"] == "ConfigError"
+        assert "EMOHARNESS_API_KEY" in error["message"]
+        assert all("sk-SECRET" not in p.read_text(encoding="utf-8") for p in partial.iterdir())
+        assert "sk-SECRET" not in str(excinfo.value)
+        assert all("sk-SECRET" not in r.getMessage() for r in caplog.records)
+
     def test_missing_dataset_fails_in_load_stage_with_quarantine(self, tmp_path):
         raw = minimal_raw()
         raw["dataset"] = {"test": str(tmp_path / "nope.csv")}
@@ -577,6 +593,7 @@ class TestRunPipeline:
         assert error["error"] == type(excinfo.value.__cause__).__name__ == "OSError"
         assert error["message"].startswith("[stage=publish] ")
         assert [p.name for p in config.output_dir.iterdir()] == ["squatter.txt"]
+        assert not (tmp_path / "out.partial" / "manifest.json").exists()
 
     def test_existing_output_dir_rejected_before_any_io(self, tmp_path, eng_test_csv):
         csv_path, _ = eng_test_csv
