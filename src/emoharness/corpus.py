@@ -198,6 +198,9 @@ def load_dataset(
 
     A leading byte order mark, as spreadsheet exports write, is skipped.
 
+    Blank lines are skipped. A row shorter than the header reads its missing
+    cells as empty, and cells past the header are ignored.
+
     Row order is preserved. Raises :class:`SchemaError` when the file cannot
     be read as UTF-8 or a mapped column is absent or repeated, and
     :class:`ValidationError` for a file without rows or a row with a bad
@@ -208,40 +211,47 @@ def load_dataset(
     path = Path(path)
     try:
         with path.open(encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             columns = [(e, schema.column_for(e)) for e in emotion_set]
             required = [schema.id, schema.text] + [column for _, column in columns]
             missing = [c for c in required if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-            # DictReader would keep the last of two same-named columns.
+            # header.index would silently read the first of two same-named columns.
             repeated = [c for c in dict.fromkeys(required) if header.count(c) > 1]
             if repeated:
                 raise SchemaError(f"{path}: duplicate column(s): {', '.join(repeated)}")
+            id_at, text_at = header.index(schema.id), header.index(schema.text)
+            label_at = [(e, column, header.index(column)) for e, column in columns]
+            width = len(header)
             # The exact in-range cells; anything else (" 1", "01", "", None)
             # goes through _parse_label_cell, which accepts or names it.
             cells = {str(label): label for label in range(lo, hi + 1)}
             snippets: list[Snippet] = []
             seen: set[str] = set()
             for row in reader:
-                row_id = (row[schema.id] or "").strip()
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [None] * (width - len(row))
+                row_id = (row[id_at] or "").strip()
                 if not row_id:
                     raise ValidationError("empty id")
                 if row_id in seen:
                     raise ValidationError(f"duplicate id {row_id!r}")
                 seen.add(row_id)
-                text = row[schema.text] or ""
+                text = row[text_at] or ""
                 if not text.strip():
                     raise ValidationError(f"row {row_id!r}: empty text")
-                labels = {e: cells.get(row[column]) for e, column in columns}
+                labels = {e: cells.get(row[at]) for e, _, at in label_at}
                 if None in labels.values():
-                    labels = {e: _parse_label_cell(row[column], track, row_id, column) for e, column in columns}
+                    labels = {e: _parse_label_cell(row[at], track, row_id, column) for e, column, at in label_at}
                 snippets.append(Snippet(row_id, text, emotion_set.language_code, labels))
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read dataset: {exc}") from exc
     except csv.Error as exc:
-        raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
     except ValidationError as exc:  # only the row loop raises one
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not snippets:

@@ -59,9 +59,12 @@ def write_predictions(path: Path, records: list) -> None:
 
     A line's escaped snippet id and raw text sit in text that is fixed by
     the emotion, the track and ``parsed`` with its type (``True == 1``
-    prints apart), so that text is built once per such key.
+    prints apart), so that text is built once per such key. A snippet id
+    repeats once per emotion and an answer across the run, so each distinct
+    string is escaped once.
     """
     frames: dict[tuple, tuple[str, str]] = {}
+    escaped: dict[str, str] = {}
     with path.open("w", encoding="utf-8") as fh:
         for start in range(0, len(records), _BATCH_LINES):
             pieces: list[str] = []
@@ -73,7 +76,13 @@ def write_predictions(path: Path, records: list) -> None:
                         f'", "emotion": "{_escape(r.emotion)}", "track": "{_escape(r.track)}", "raw_text": "',
                         f'", "parsed": {_encode_line(r.parsed)}}}\n',
                     )
-                pieces += ('{"snippet_id": "', _escape(r.snippet_id), frame[0], _escape(r.raw_text), frame[1])
+                snippet_id = escaped.get(r.snippet_id)
+                if snippet_id is None:
+                    snippet_id = escaped[r.snippet_id] = _escape(r.snippet_id)
+                raw_text = escaped.get(r.raw_text)
+                if raw_text is None:
+                    raw_text = escaped[r.raw_text] = _escape(r.raw_text)
+                pieces += ('{"snippet_id": "', snippet_id, frame[0], raw_text, frame[1])
             fh.write("".join(pieces))
 
 

@@ -258,13 +258,7 @@ class CompletionClient:
             attempts = 1
         else:
             raw_text, attempts = self._complete_http(request.prompt)
-        return RawCompletion(
-            snippet_id=request.snippet_id,
-            emotion=request.emotion,
-            raw_text=raw_text,
-            latency=time.monotonic() - start,
-            attempt_count=attempts,
-        )
+        return RawCompletion(request.snippet_id, request.emotion, raw_text, time.monotonic() - start, attempts)
 
     def complete_all(self, requests_: Iterable[CompletionRequest]) -> list[RawCompletion]:
         """Complete every request; results come back in input order.
@@ -350,15 +344,15 @@ class CompletionClient:
             headers["Authorization"] = f"Bearer {api_key}"
 
         attempts_allowed = self.config.max_retries + 1
-        last_failure: TransportError | None = None
+        last_failure: TransportError | ProtocolError | None = None
         for attempt in range(1, attempts_allowed + 1):
             try:
                 status, body = self.transport(url, payload, headers, self.config.timeout)
-            except TransportError as exc:
-                last_failure = exc
-            else:
                 if status == 200:
                     return self._extract_content(body), attempt
+            except (TransportError, ProtocolError) as exc:  # a malformed 200 body is retried like a 5xx
+                last_failure = exc
+            else:
                 last_failure = TransportError(f"endpoint returned HTTP {status}", status=status)
                 if status != 429 and not 500 <= status <= 599:  # not a status worth retrying
                     raise last_failure
@@ -373,10 +367,10 @@ class CompletionClient:
                     delay,
                 )
                 self.sleep(delay)
-        raise TransportError(
-            f"retries exhausted after {attempts_allowed} attempts: {last_failure}",
-            status=last_failure.status if last_failure else None,
-        )
+        message = f"retries exhausted after {attempts_allowed} attempts: {last_failure}"
+        if isinstance(last_failure, ProtocolError):
+            raise ProtocolError(message) from last_failure
+        raise TransportError(message, status=last_failure.status)
 
     @staticmethod
     def _extract_content(body: str) -> str:

@@ -28,11 +28,22 @@ class KeywordMock:
 
     Presence prompts get 1 when the word occurs at all; intensity prompts
     get the occurrence count capped at 3.
+
+    A run asks about one text's emotions one after another, so the last text
+    is kept with its lowercase as one ``(text, lowered)`` pair, replaced
+    whole, and a text is lowered only when it differs from the kept one.
     """
+
+    def __init__(self):
+        self._last = ("", "")
 
     def respond(self, prompt: str) -> str:
         text, emotion, track = extract_query(prompt)
-        count = text.lower().count(emotion.lower())
+        last_text, lowered = self._last
+        if text != last_text:
+            lowered = text.lower()
+            self._last = (text, lowered)
+        count = lowered.count(emotion.lower())
         if track == TRACK_A:
             return "1" if count else "0"
         _, hi = LABEL_RANGES[TRACK_B]

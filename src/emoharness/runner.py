@@ -9,6 +9,7 @@ touch the final path.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
 import math
@@ -334,7 +335,23 @@ def run(config: ExperimentConfig, mock=None) -> RunManifest:
 
     ``mock`` overrides the config's mock id with an arbitrary in-process
     model object (anything with ``respond(prompt) -> str``).
+
+    Python's cyclic garbage collector is paused while the run works and
+    turned back on when it returns or raises, if it was on before. A run
+    keeps more than 100k container objects, which form no cycles, until it
+    ends, so each collection would only walk them again; reference counting
+    still frees everything else as it goes.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(config, mock)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(config: ExperimentConfig, mock) -> RunManifest:
     started = time.monotonic()
     started_at = datetime.now(timezone.utc).isoformat()
     out_dir = config.output_dir

@@ -5,7 +5,9 @@ plain Python (no numpy, no imports from the package under test) so that a
 bug in the implementation cannot hide in its own oracle.
 """
 
+import csv
 import math
+import re
 
 
 def ref_f1_per_emotion(gold: dict[str, dict[str, int]], pred: dict[str, dict[str, int]], emotions):
@@ -99,3 +101,71 @@ def ref_bm25_ranking(scores: list[float], k: int) -> list[int]:
     """Positions of the k best documents; ties go to the earlier position."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return order[:k]
+
+
+class RefDatasetError(Exception):
+    """An error of ``ref_load_dataset``; ``kind`` names the package's
+    exception class for it."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def ref_load_dataset(path, id_column: str, text_column: str, columns, language: str, track: str):
+    """Read an annotated CSV through ``csv.DictReader``, one dict per row, into
+    ``(id, text, language, {emotion: label})`` tuples.
+
+    ``columns`` is a list of ``(emotion, column)`` pairs. DictReader skips
+    blank lines, reads a short row's missing cells as None and files a long
+    row's extra cells under the key None. A row's line is the underlying
+    reader's: DictReader's own ``line_num`` stays at the first blank line it
+    skips before a row.
+    """
+    lo, hi = {"A": (0, 1), "B": (0, 3)}[track]
+
+    def label(value, row_id, column):
+        raw = (value or "").strip()
+        if not re.fullmatch(r"[+-]?[0-9]+", raw):
+            raise ValueError(f"row {row_id!r}: column {column!r} has non-integer label {raw!r}")
+        number = int(raw)
+        if not lo <= number <= hi:
+            raise ValueError(
+                f"row {row_id!r}: column {column!r} label {number} outside track {track} range [{lo}, {hi}]"
+            )
+        return number
+
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            required = [id_column, text_column] + [column for _, column in columns]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise RefDatasetError("SchemaError", f"{path}: missing column(s): {', '.join(missing)}")
+            repeated = [c for c in dict.fromkeys(required) if header.count(c) > 1]
+            if repeated:
+                raise RefDatasetError("SchemaError", f"{path}: duplicate column(s): {', '.join(repeated)}")
+            rows, seen = [], set()
+            for row in reader:
+                try:
+                    row_id = (row[id_column] or "").strip()
+                    if not row_id:
+                        raise ValueError("empty id")
+                    if row_id in seen:
+                        raise ValueError(f"duplicate id {row_id!r}")
+                    seen.add(row_id)
+                    text = row[text_column] or ""
+                    if not text.strip():
+                        raise ValueError(f"row {row_id!r}: empty text")
+                    labels = {e: label(row[column], row_id, column) for e, column in columns}
+                except ValueError as exc:
+                    raise RefDatasetError("ValidationError", f"{path}: line {reader.reader.line_num}: {exc}")
+                rows.append((row_id, text, language, labels))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RefDatasetError("SchemaError", f"{path}: cannot read dataset: {exc}")
+    except csv.Error as exc:
+        raise RefDatasetError("SchemaError", f"{path}: line {reader.reader.line_num}: {exc}")
+    if not rows:
+        raise RefDatasetError("ValidationError", f"{path}: no rows")
+    return rows

@@ -22,6 +22,8 @@ from emoharness import (
     oversample,
 )
 from datagen import make_snippets, write_csv
+from oracles import RefDatasetError, ref_load_dataset
+from test_input_fuzz import CSV_MUTATIONS, _csv, _rows, make_workdir
 
 
 def write_rows(path, header, rows):
@@ -297,6 +299,61 @@ class TestLabelCells:
         unmapped = write_rows(tmp_path / "unmapped.csv", ["id", "text", "Anger", "fear", "joy", "sadness", "surprise"], [])
         with pytest.raises(SchemaError, match=r"missing column\(s\): Freude$"):
             load_dataset(unmapped, schema, es, "A")
+
+
+def _edit_rows(edit):
+    """A CSV case that rewrites the rows of the text as ``csv`` reads them."""
+    return lambda text, rng: _csv(edit(_rows(text)))
+
+
+#: Cases past the fuzz gate's CSV_MUTATIONS, each mapping the CSV's text to new text.
+READER_CASES = {
+    "blank-lines": lambda t, rng: "\n".join(t.splitlines()[:2] + ["", ""] + t.splitlines()[2:]) + "\n\n",
+    "blank-crlf-lines": lambda t, rng: t.replace("\r\n", "\r\n\r\n"),
+    "blank-lines-before-a-bad-row": _edit_rows(lambda rows: rows[:2] + [[], []] + [[rows[1][0]] + rows[2][1:]]),
+    "short-rows": _edit_rows(lambda rows: [rows[0] + ["note"]] + rows[1:]),
+    "short-row-of-id-and-text": _edit_rows(lambda rows: rows[:2] + [rows[2][:2]] + rows[3:]),
+    "short-row-of-id": _edit_rows(lambda rows: rows[:2] + [rows[2][:1]] + rows[3:]),
+    "row-of-one-empty-cell": _edit_rows(lambda rows: rows[:2] + [[""]] + rows[2:]),
+    "long-rows": _edit_rows(lambda rows: rows[:1] + [row + ["x", "1"] for row in rows[1:]]),
+    "quoted-newline-before-a-bad-row": _edit_rows(
+        lambda rows: [rows[0], [rows[1][0], "two\nlines"] + rows[1][2:], rows[2][:-1] + ["x"]] + rows[3:]
+    ),
+    "blank-header-line": lambda t, rng: "\n" + t,
+    "reordered-columns": _edit_rows(lambda rows: [row[::-1] for row in rows]),
+    "repeated-unmapped-column": _edit_rows(lambda rows: [row + ["note", "note"] for row in rows]),
+}
+
+
+def _outcome(read):
+    """The snippets as tuples, or the error's class name and message."""
+    try:
+        return [(s.id, s.text, s.language, s.labels) for s in read()]
+    except (SchemaError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ref_outcome(read):
+    try:
+        return read()
+    except RefDatasetError as exc:
+        return exc.kind, str(exc)
+
+
+@pytest.mark.parametrize("track", ["A", "B"])
+@pytest.mark.parametrize("name", [*CSV_MUTATIONS, *(f"reader-{n}" for n in READER_CASES)])
+def test_reader_matches_dictreader_oracle(tmp_path, name, track):
+    """``load_dataset`` reads cells by column index; the oracle is the
+    ``csv.DictReader`` loop it replaced, run on the fuzz gate's test.csv."""
+    make_workdir(tmp_path)
+    path = tmp_path / "test.csv"
+    mutate = READER_CASES[name[7:]] if name.startswith("reader-") else CSV_MUTATIONS[name]
+    data = mutate(path.read_text(encoding="utf-8"), random.Random(len(name)))
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    es = EmotionSet.for_language("eng")
+    got = _outcome(lambda: load_dataset(path, ColumnSchema(), es, track))
+    want = _ref_outcome(lambda: ref_load_dataset(path, "id", "text", [(e, e) for e in es], "eng", track))
+    assert got == want
 
 
 class TestExplode:

@@ -332,22 +332,40 @@ class TestCompletionClient:
         assert excinfo.value.status == 404
         assert len(transport.calls) == 1
 
+    # A 200 whose body is not a chat completion is retried like a 5xx; once
+    # the attempts run out, the last body's ProtocolError is the cause.
     def test_non_json_body_is_protocol_error(self):
-        client, _, _ = make_client([(200, "<html>oops</html>")])
-        with pytest.raises(ProtocolError):
+        client, transport, sleeps = make_client([(200, "<html>oops</html>")] * 3, max_retries=2)
+        with pytest.raises(ProtocolError, match=r"^retries exhausted after 3 attempts: response body is not JSON"):
             client.complete(REQ)
+        assert len(transport.calls) == 3
+        assert len(sleeps) == 2 and 1.0 <= sleeps[0] <= 1.5 and 2.0 <= sleeps[1] <= 3.0
 
     def test_missing_choices_is_protocol_error(self):
-        client, _, _ = make_client([(200, json.dumps({"choices": []}))])
-        with pytest.raises(ProtocolError):
+        client, transport, sleeps = make_client([(200, json.dumps({"choices": []}))] * 3, max_retries=2)
+        with pytest.raises(ProtocolError, match="^retries exhausted after 3 attempts: response missing choices"):
             client.complete(REQ)
+        assert len(transport.calls) == 3
+        assert len(sleeps) == 2 and 1.0 <= sleeps[0] <= 1.5 and 2.0 <= sleeps[1] <= 3.0
 
     @pytest.mark.parametrize("content", [None, 1, ["1"]])
     def test_non_text_content_is_protocol_error(self, content):
         body = json.dumps({"choices": [{"message": {"content": content}}]})
-        client, _, _ = make_client([(200, body)])
-        with pytest.raises(ProtocolError, match="not text"):
+        client, transport, sleeps = make_client([(200, body)] * 3, max_retries=2)
+        with pytest.raises(ProtocolError, match="^retries exhausted after 3 attempts: .*not text") as excinfo:
             client.complete(REQ)
+        assert isinstance(excinfo.value.__cause__, ProtocolError)
+        assert len(transport.calls) == 3
+        assert len(sleeps) == 2 and 1.0 <= sleeps[0] <= 1.5 and 2.0 <= sleeps[1] <= 3.0
+
+    def test_malformed_body_then_good_one_is_retried(self, caplog):
+        client, transport, sleeps = make_client([(200, "<html>oops</html>"), (200, ok_body("1"))])
+        with caplog.at_level(logging.WARNING):
+            result = client.complete(REQ)
+        assert result.attempt_count == 2 and result.raw_text == "1"
+        assert len(transport.calls) == 2
+        assert len(sleeps) == 1 and 1.0 <= sleeps[0] <= 1.5
+        assert "completion attempt 1/4 failed (response body is not JSON" in caplog.text
 
     def test_api_key_used_in_header_only(self, monkeypatch, caplog):
         monkeypatch.setenv("TEST_HARNESS_KEY", "sk-super-secret-token")
@@ -369,7 +387,9 @@ class TestCompletionClient:
         ids=["newline", "header-injection", "delete", "non-ascii"],
     )
     def test_api_key_outside_printable_ascii_is_a_config_error(self, monkeypatch, caplog, key):
-        monkeypatch.setenv("TEST_HARNESS_KEY", key)
+        # As UTF-8 bytes: under an ASCII filesystem encoding setenv cannot
+        # take "É", and the key reads back as surrogate escapes instead.
+        monkeypatch.setitem(os.environb, b"TEST_HARNESS_KEY", key.encode("utf-8"))
         client, transport, sleeps = make_client([], api_key_env="TEST_HARNESS_KEY")
         with caplog.at_level(logging.DEBUG), pytest.raises(ConfigError, match="TEST_HARNESS_KEY") as excinfo:
             client.complete(REQ)

@@ -139,6 +139,40 @@ class TestBuiltinMocks:
         assert mock.respond(double) == "2"
         assert mock.respond(many) == "3"  # capped at the intensity ceiling
 
+    def test_keyword_mock_keeps_no_stale_text(self):
+        # One mock answers a stream whose texts repeat, interleave (A, B, A)
+        # and differ only in case or by one character, "İ" among them, whose
+        # lowercase is two characters long; a fresh mock is the reference.
+        texts = [
+            "joy and JOY", "Joy and joy", "joy and jox", "İjoy joy JOY", "i̇joy joy joy", "İ",
+            "FEAR fear İfear", "fear fear ifear", "sadness SADNESS Sadness sadness", "anger Surprise ANGER",
+        ]
+        rng = random.Random(22)
+        shared = KeywordMock()
+        answers = set()
+        previous = []
+        for _ in range(600):
+            roll = rng.random()
+            if previous and roll < 0.3:  # back to a text asked about two turns ago
+                text = previous[-2] if len(previous) > 1 else previous[-1]
+            elif roll < 0.5:
+                text = "".join(c.swapcase() if rng.random() < 0.3 else c for c in rng.choice(texts))
+            else:
+                text = rng.choice(texts)
+            previous.append(text)
+            kind = rng.randrange(3)
+            for emotion in rng.sample(["anger", "fear", "joy", "sadness", "surprise"], rng.randint(1, 5)):
+                if kind == 0:
+                    prompt = render_zero_shot("track_a", text, "English", emotion)
+                elif kind == 1:
+                    prompt = render_zero_shot("track_b", text, "Turkish", emotion)
+                else:
+                    prompt = render_few_shot([(rng.choice(texts), rng.randint(0, 1))], text, "English", emotion)
+                answer = shared.respond(prompt)
+                assert answer == KeywordMock().respond(prompt), prompt
+                answers.add(answer)
+        assert answers == {"0", "1", "2", "3"}
+
     def test_build_mock_ids(self):
         assert isinstance(build_mock("always-0"), AlwaysZeroMock)
         assert isinstance(build_mock("keyword"), KeywordMock)

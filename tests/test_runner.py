@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -616,6 +617,51 @@ class TestRunPipeline:
         snap["output_dir"] = str(tmp_path / "r2")
         second = run(validate_config(snap))
         assert second.artifacts == first.artifacts
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic garbage collector and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    class Recorder:
+        """Answers 0 and records whether the collector ran at each prompt."""
+
+        def __init__(self, fail_after=None):
+            self.seen, self.fail_after = [], fail_after
+
+        def respond(self, prompt):
+            if len(self.seen) == self.fail_after:
+                raise RuntimeError("mock exploded")
+            self.seen.append(gc.isenabled())
+            return "0"
+
+    def test_enabled_again_after_a_run(self, tmp_path, eng_test_csv):
+        gc.enable()
+        mock = self.Recorder()
+        run(base_config(tmp_path, eng_test_csv[0]), mock=mock)
+        assert gc.isenabled()
+        assert mock.seen and not any(mock.seen)  # paused while the run worked
+
+    def test_enabled_again_after_a_quarantined_run(self, tmp_path, eng_test_csv):
+        gc.enable()
+        config = base_config(tmp_path, eng_test_csv[0])
+        with pytest.raises(RunStageError):
+            run(config, mock=self.Recorder(fail_after=3))
+        assert (tmp_path / "out.partial" / "error.json").exists()
+        assert gc.isenabled()
+
+    def test_stays_disabled_when_the_caller_disabled_it(self, tmp_path, eng_test_csv):
+        gc.disable()
+        run(base_config(tmp_path, eng_test_csv[0]), mock=self.Recorder())
+        assert not gc.isenabled()
 
 
 class TestExportStrategies:
