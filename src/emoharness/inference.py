@@ -7,9 +7,7 @@ the endpoint so end-to-end runs need no network.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import http.client
 import json
 import logging
 import math
@@ -18,14 +16,20 @@ import random
 import threading
 import time
 import urllib.parse
-import urllib.request
 from collections import deque
 from collections.abc import Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from .corpus import ASCII_DIGITS, check_labels, label_range
 from .errors import ConfigError, ProtocolError, TransportError
+
+# The HTTP stack (``http.client``, which loads ``ssl`` and ``email``, plus
+# ``urllib.request`` and the worker pool) is imported by the functions that
+# use it, on a run's first endpoint request: mock and export runs never load it.
+if TYPE_CHECKING:
+    import http.client
+    from concurrent.futures import Future
 
 log = logging.getLogger(__name__)
 
@@ -181,6 +185,10 @@ def _open_connection(origin: tuple[str, str, float]) -> _Connection:
     """Connect through the environment's proxy for the scheme, unless
     ``no_proxy`` covers the host. HTTPS goes through the proxy as a
     ``CONNECT`` tunnel; the proxy itself is spoken to in plain HTTP."""
+    import base64
+    import http.client
+    import urllib.request
+
     scheme, host, timeout = origin
     https = scheme == "https"
     cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
@@ -207,6 +215,8 @@ def _open_connection(origin: tuple[str, str, float]) -> _Connection:
 
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
+    import http.client
+
     # ``EndpointConfig`` has checked the URL: no userinfo, query or fragment,
     # and a valid host and port.
     parts = urllib.parse.urlsplit(url)
@@ -272,7 +282,9 @@ class CompletionClient:
         ``4 * concurrency_limit`` requests drawn and not yet finished; the
         default transport keeps one keep-alive connection per worker. If a
         request fails, the first failure in input order is raised and the
-        requests still queued are cancelled.
+        requests still queued are cancelled. A ``TransportError`` or
+        ``ProtocolError`` is raised again as the same class, its message
+        prefixed ``snippet '<id>', emotion <emotion>: `` to name the request.
 
         At temperature 0 each distinct prompt is sent once. A later request
         with the same prompt gets the first answer's ``raw_text`` with its
@@ -283,25 +295,33 @@ class CompletionClient:
         """
         if self.mock is not None:
             return [self.complete(r) for r in requests_]
+        from concurrent.futures import ThreadPoolExecutor
+
         window = _WINDOW_PER_WORKER * self.config.concurrency_limit
         dedup = self.config.temperature == 0
         # sha256 of each prompt sent -> its answer, None until the request is
         # collected: about 100 bytes per distinct prompt besides the answer.
         answers: dict[bytes, str | None] = {}
-        # (digest or None, None, future) for a request sent; (digest, request,
-        # None) for a repeat. Collection is first in, first out, so a prompt's
-        # first request is collected, or has raised, before any repeat of it.
-        pending: deque[tuple[bytes | None, CompletionRequest | None, Future | None]] = deque()
+        # (digest or None, request, future) for a request sent; (digest,
+        # request, None) for a repeat. Collection is first in, first out, so a
+        # prompt's first request is collected, or has raised, before any repeat.
+        pending: deque[tuple[bytes | None, CompletionRequest, Future | None]] = deque()
         results: list[RawCompletion] = []
 
         def collect() -> None:
-            digest, repeat, future = pending.popleft()
-            if repeat is None:
-                completion = future.result()
+            digest, request, future = pending.popleft()
+            if future is None:
+                completion = RawCompletion(request.snippet_id, request.emotion, answers[digest], 0.0, 0)
+            else:
+                try:
+                    completion = future.result()
+                except (TransportError, ProtocolError) as exc:
+                    message = f"snippet {request.snippet_id!r}, emotion {request.emotion}: {exc}"
+                    if isinstance(exc, ProtocolError):
+                        raise ProtocolError(message) from exc
+                    raise TransportError(message, status=exc.status) from exc
                 if digest is not None:
                     answers[digest] = completion.raw_text
-            else:
-                completion = RawCompletion(repeat.snippet_id, repeat.emotion, answers[digest], 0.0, 0)
             results.append(completion)
 
         with ThreadPoolExecutor(max_workers=self.config.concurrency_limit) as pool:
@@ -313,7 +333,7 @@ class CompletionClient:
                     if digest in answers:
                         pending.append((digest, request, None))
                     else:
-                        pending.append((digest, None, pool.submit(self.complete, request)))
+                        pending.append((digest, request, pool.submit(self.complete, request)))
                         if digest is not None:
                             answers[digest] = None
                     if len(pending) == window:

@@ -16,17 +16,23 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
+import yaml
 
+from datagen import make_snippets, write_csv
 from emoharness import (
     CompletionClient,
     CompletionRequest,
     ConfigError,
+    EmotionSet,
     EndpointConfig,
+    KeywordMock,
     PredictionRecord,
     ProtocolError,
     RawCompletion,
     TransportError,
+    load_config,
     parse_label,
+    run,
 )
 from emoharness import inference
 from emoharness.errors import TransportError as TE
@@ -435,7 +441,7 @@ class TestCompletionClient:
         def no_pool(*args, **kwargs):
             raise AssertionError("complete_all built a thread pool for a mock")
 
-        monkeypatch.setattr("emoharness.inference.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         calls = []
 
         class RecordingMock(IndexMock):
@@ -505,6 +511,23 @@ class TestCompletionClient:
             client.complete_all(counter.requests(100))
         assert excinfo.value.status == 404
         assert failing < counter.last_drawn <= failing + 4 * 2
+
+    @pytest.mark.parametrize(
+        "answer, error",
+        [(lambda: (404, "missing"), TransportError), (lambda: (200, "<html>"), ProtocolError)],
+        ids=["transport", "protocol"],
+    )
+    def test_failure_names_the_request(self, answer, error):
+        transport = PromptLog(fail={"3": answer})
+        client = CompletionClient(EndpointConfig(max_retries=0, concurrency_limit=2), transport=transport)
+        requests = [CompletionRequest(f"s{i}", "fear" if i == 3 else "joy", f"prompt #{i}") for i in range(8)]
+        with pytest.raises(error) as excinfo:
+            client.complete_all(requests)
+        cause = excinfo.value.__cause__
+        assert type(cause) is error
+        assert str(excinfo.value) == f"snippet 's3', emotion fear: {cause}"
+        if error is TransportError:
+            assert excinfo.value.status == cause.status == 404
 
     def test_complete_all_empty(self):
         for mock in (None, IndexMock()):
@@ -728,6 +751,79 @@ def test_import_loads_no_requests():
     assert result.returncode == 0, result.stderr
     added = {name.partition(".")[0] for name in result.stdout.split()}
     assert added.isdisjoint({"requests", "urllib3", "charset_normalizer", "certifi"})
+
+
+#: Modules only an endpoint request needs.
+HTTP_STACK = {"http.client", "ssl", "email", "urllib.request", "concurrent.futures"}
+
+
+def run_configs_in_fresh_interpreter(*configs):
+    """Run each config file with ``emoharness.runner`` in a new interpreter;
+    returns the modules loaded before the import and those it and the runs
+    added."""
+    code = (
+        "import sys; before = set(sys.modules); from emoharness.runner import load_config, run\n"
+        "for path in sys.argv[1:]: run(load_config(path))\n"
+        "print(*sorted(before)); print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-c", code, *map(str, configs)]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    before, added = result.stdout.splitlines()
+    return set(before.split()), set(added.split())
+
+
+def write_config(path, **raw):
+    path.write_text(yaml.safe_dump({"seed": 7, "output_dir": str(path.with_suffix("")), **raw}), encoding="utf-8")
+    return path
+
+
+def test_mock_and_export_runs_load_no_http_stack(tmp_path):
+    # Only what the child adds counts: a site hook may load some of these first.
+    eng, deu = EmotionSet.for_language("eng"), EmotionSet.for_language("deu")
+    rng = random.Random(5)
+    eng_csv = write_csv(tmp_path / "eng.csv", make_snippets(rng, 6, eng, "A"), eng)
+    deu_csv = write_csv(tmp_path / "deu.csv", make_snippets(rng, 4, deu, "A"), deu)
+    mock_run = write_config(
+        tmp_path / "zero_shot.yaml",
+        track="A",
+        language="eng",
+        strategy="zero_shot",
+        mock="keyword",
+        dataset={"test": str(eng_csv)},
+    )
+    export = write_config(
+        tmp_path / "ebridge.yaml",
+        track="A",
+        language="deu",
+        strategy="export_ebridge",
+        dataset={"train": str(deu_csv), "english_train": str(eng_csv)},
+    )
+    _, added = run_configs_in_fresh_interpreter(mock_run, export)
+    assert (tmp_path / "zero_shot" / "manifest.json").is_file()
+    assert (tmp_path / "ebridge" / "manifest.json").is_file()
+    assert added.isdisjoint(HTTP_STACK)
+
+
+def test_endpoint_run_imports_the_http_stack_on_its_workers(tmp_path, serve):
+    # Two pool workers send the run's first requests, so both import
+    # http.client at once. Datagen texts hold no "#", so the server's
+    # ``index`` is the whole prompt.
+    server = serve(lambda prompt, number: (200, ok_body(KeywordMock().respond(prompt)).encode("utf-8"), False))
+    es = EmotionSet.for_language("eng")
+    test_csv = write_csv(tmp_path / "test.csv", make_snippets(random.Random(6), 12, es, "A"), es)
+    common = {"track": "A", "language": "eng", "strategy": "marginalise_from_b", "dataset": {"test": str(test_csv)}}
+    endpoint = {"base_url": server.url, "model_name": "m", "concurrency_limit": 2, "max_retries": 0}
+    config = write_config(tmp_path / "endpoint.yaml", endpoint=endpoint, **common)
+    before, added = run_configs_in_fresh_interpreter(config)
+    assert "http.client" not in before and "http.client" in added
+    manifest = json.loads((tmp_path / "endpoint" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"]["attempts"] == len(server.requests) > 0
+    run(load_config(write_config(tmp_path / "mock.yaml", mock="keyword", **common)))
+    predictions = (tmp_path / "endpoint" / "predictions.jsonl").read_bytes()
+    assert predictions == (tmp_path / "mock" / "predictions.jsonl").read_bytes()
 
 
 class TestEndpointConfig:

@@ -27,6 +27,7 @@ from emoharness import (
     validate_config,
 )
 from datagen import make_snippets, write_csv
+from emoharness.prompting import extract_query
 
 
 def minimal_raw(**overrides):
@@ -523,6 +524,26 @@ class TestRunPipeline:
         manifest = run(validate_config(raw))
         assert manifest.counts["requests"] == manifest.counts["instances"] == 8 * len(es)
         assert manifest.counts["attempts"] == len(prompts) == len(set(prompts)) == 6 * len(es)
+
+    def test_failed_request_is_named_in_the_quarantine(self, tmp_path, eng_test_csv, monkeypatch):
+        csv_path, snippets = eng_test_csv
+        failing = (snippets[4].text, "fear")
+
+        def transport(url, payload, headers, timeout):
+            text, emotion, _ = extract_query(payload["messages"][0]["content"])
+            if (text, emotion) == failing:
+                return 404, "missing"
+            return 200, json.dumps({"choices": [{"message": {"content": "0"}}]})
+
+        client = functools.partial(CompletionClient, transport=transport)
+        monkeypatch.setattr(emoharness.runner, "CompletionClient", client)
+        raw = endpoint_raw(output_dir=str(tmp_path / "out"), dataset={"test": str(csv_path)})
+        with pytest.raises(RunStageError) as excinfo:
+            run(validate_config(raw))
+        assert excinfo.value.__cause__.status == 404
+        error = json.loads((tmp_path / "out.partial" / "error.json").read_text(encoding="utf-8"))
+        assert error["error"] == "TransportError"
+        assert error["message"] == f"[stage=infer] snippet {snippets[4].id!r}, emotion fear: endpoint returned HTTP 404"
 
     def test_bad_api_key_stays_out_of_the_quarantine(self, tmp_path, eng_test_csv, monkeypatch, caplog):
         csv_path, _ = eng_test_csv
