@@ -138,12 +138,24 @@ class ColumnSchema:
     """Maps the harness' logical columns onto a CSV's actual header names.
 
     Emotion columns default to the emotion names themselves; ``emotions``
-    overrides individual ones.
+    overrides individual ones. ``id``, ``text`` and all six emotions' columns
+    must be pairwise distinct, even for a language without one of the
+    emotions: a schema does not know its emotion set, and this way every
+    subset that :func:`load_dataset` reads is distinct too. Raises
+    ValueError otherwise.
     """
 
     id: str = "id"
     text: str = "text"
     emotions: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        named: dict[str, str] = {}
+        logical = [("id", self.id), ("text", self.text)] + [(f"emotions.{e}", self.column_for(e)) for e in EMOTIONS]
+        for name, column in logical:
+            if column in named:
+                raise ValueError(f"{named[column]} and {name} both name CSV column {column!r}")
+            named[column] = name
 
     def column_for(self, emotion: str) -> str:
         return self.emotions.get(emotion, emotion)
@@ -219,7 +231,7 @@ def load_dataset(
             if missing:
                 raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
             # header.index would silently read the first of two same-named columns.
-            repeated = [c for c in dict.fromkeys(required) if header.count(c) > 1]
+            repeated = [c for c in required if header.count(c) > 1]
             if repeated:
                 raise SchemaError(f"{path}: duplicate column(s): {', '.join(repeated)}")
             id_at, text_at = header.index(schema.id), header.index(schema.text)

@@ -268,8 +268,12 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
         raise ConfigError(f"strategy {strategy} needs either endpoint or mock")
     if strategy in ("few_shot", "marginalise_from_b") and track != TRACK_A:
         raise ConfigError(f"strategy {strategy} uses presence labels; set track: A")
-    if strategy == "export_ebridge" and language == "eng":
-        raise ConfigError("language: export_ebridge target must differ from eng")
+    if strategy == "export_ebridge":
+        if language == "eng":
+            raise ConfigError("language: export_ebridge target must differ from eng")
+        # The code names the stage-2 file, stage2_<language>.jsonl.
+        if any(c == "/" or c < " " or "\x7f" <= c <= "\x9f" for c in language):
+            raise ConfigError(f"language: {language!r} names the stage-2 file; it may hold no '/' or control character")
     return config
 
 

@@ -1,22 +1,31 @@
 """Acceptance gate: one test per release criterion, one PASS/FAIL line each."""
 
+import functools
 import itertools
 import json
 import random
+import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 
+import pytest
 import yaml
 
+import emoharness.runner
 from emoharness import (
     Bm25Params,
+    CompletionClient,
     EmotionSet,
     GoldLookupMock,
+    KeywordMock,
     LabelVector,
     PredictionRecord,
     RetrievalConfig,
+    RunStageError,
     Snippet,
     TaskInstance,
+    TransportError,
     aggregate,
     build_index,
     explode,
@@ -30,6 +39,7 @@ from emoharness import (
     top_k,
     validate_config,
 )
+from emoharness.prompting import extract_query
 from conftest import record_acceptance
 from datagen import make_corpus, make_snippets, random_text, random_vectors, write_csv
 from oracles import ref_bm25_ranking, ref_bm25_scores, ref_macro_f1, ref_mean_pearson
@@ -287,3 +297,124 @@ def test_marginalisation_consistency(tmp_path):
         assert report["per_emotion"] == expected.per_emotion
         assert report["per_emotion"]["fear"] == 0.0
         info["detail"] = "pipeline F1 equals oracle composition exactly"
+
+
+#: The ways a flaky endpoint fails one attempt; "timeout" raises, as the
+#: default transport does when a socket times out.
+FAILURES = {
+    "http-503": (503, "Service Unavailable"),
+    "http-429": (429, "Too Many Requests"),
+    "timeout": None,
+    "not-json": (200, "<html>bad gateway</html>"),
+    "no-choices": (200, '{"error": "overloaded"}'),
+}
+
+
+class FlakyTransport:
+    """An endpoint transport that fails each distinct prompt a seeded 0-3
+    times, each time in a seeded one of ``FAILURES``, then answers with the
+    keyword mock's rule. A ``doomed`` (text, emotion) fails four times, every
+    attempt the default ``max_retries: 3`` allows. Failures depend on the
+    prompt and the attempt, not on thread timing."""
+
+    def __init__(self, seed, doomed=None):
+        self.seed = seed
+        self.doomed = doomed
+        self.keyword = KeywordMock()
+        self.lock = threading.Lock()
+        self.calls = Counter()
+        self.injected = Counter()
+
+    def failures(self, prompt):
+        text, emotion, _ = extract_query(prompt)
+        if (text, emotion) == self.doomed:
+            return 4
+        return random.Random(f"{self.seed}:{prompt}").randint(0, 3)
+
+    def __call__(self, url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        with self.lock:
+            self.calls[prompt] += 1
+            attempt = self.calls[prompt]
+        if attempt > self.failures(prompt):
+            answer = self.keyword.respond(prompt)
+            return 200, json.dumps({"choices": [{"message": {"content": answer}}]})
+        kind = random.Random(f"{self.seed}:{attempt}:{prompt}").choice(sorted(FAILURES))
+        with self.lock:
+            self.injected[kind] += 1
+        if FAILURES[kind] is None:
+            raise TransportError(f"request to {url} failed: timed out")
+        return FAILURES[kind]
+
+
+def _flaky_run(monkeypatch, raw, transport):
+    """Run ``raw`` against ``transport``; returns the manifest and the sleeps
+    the client asked for, none of which is slept."""
+    sleeps = []
+    client = functools.partial(CompletionClient, transport=transport, sleep=sleeps.append)
+    with monkeypatch.context() as patch:
+        patch.setattr(emoharness.runner, "CompletionClient", client)
+        return run(validate_config(raw)), sleeps
+
+
+ARTIFACTS = ("predictions.jsonl", "aggregated.jsonl", "report.json", "report.txt")
+
+
+def test_flaky_endpoint(tmp_path, monkeypatch):
+    with criterion("flaky-endpoint") as info:
+        es = EmotionSet.for_language("eng")
+        snippets = make_snippets(random.Random(707), 40, es, "A")
+        # Repeated texts render repeated prompts, which a temperature-0 run sends once.
+        snippets += [Snippet(f"{s.id}-again", s.text, s.language, s.labels) for s in snippets[:5]]
+        test_csv = write_csv(tmp_path / "test.csv", snippets, es)
+        base = {"track": "A", "language": "eng", "strategy": "zero_shot", "seed": 17, "dataset": {"test": str(test_csv)}}
+        run(validate_config(dict(base, output_dir=str(tmp_path / "clean"), mock="keyword")))
+        clean = {name: (tmp_path / "clean" / name).read_bytes() for name in ARTIFACTS}
+        # The prompts in the order a single worker sends them.
+        distinct = list(dict.fromkeys(
+            render_zero_shot("track_a", s.text, "English", emotion, es) for s in snippets for emotion in es
+        ))
+
+        injected = []
+        for limit in (1, 4):
+            transport = FlakyTransport(seed=limit)
+            endpoint = {"base_url": "http://flaky.invalid/v1", "concurrency_limit": limit}
+            raw = dict(base, output_dir=str(tmp_path / f"flaky{limit}"), endpoint=endpoint)
+            manifest, sleeps = _flaky_run(monkeypatch, raw, transport)
+            for name in ARTIFACTS:
+                assert (tmp_path / f"flaky{limit}" / name).read_bytes() == clean[name], (limit, name)
+            planned = [transport.failures(prompt) for prompt in distinct]
+            assert transport.calls == Counter({p: n + 1 for p, n in zip(distinct, planned)})
+            assert manifest.counts["attempts"] == len(distinct) + sum(planned)
+            assert set(transport.injected) == set(FAILURES), transport.injected
+            injected.append(str(sum(planned)))
+            # Retry n waits 1 s * 2^(n-1) plus a jitter of up to half that.
+            if limit == 1:
+                rng = random.Random(raw["seed"])
+                expected = []
+                for failures in planned:
+                    for n in range(1, failures + 1):
+                        delay = 2.0 ** (n - 1)
+                        expected.append(delay + rng.uniform(0.0, 0.5 * delay))
+                assert sleeps == expected
+            else:
+                retry_of = [next(n for n in (1, 2, 3) if 2 ** (n - 1) <= d <= 1.5 * 2 ** (n - 1)) for d in sleeps]
+                assert Counter(retry_of) == Counter(n for f in planned for n in range(1, f + 1))
+
+        # A prompt that fails every attempt quarantines the run and is named.
+        doomed = snippets[7]
+        transport = FlakyTransport(seed=1, doomed=(doomed.text, "fear"))
+        endpoint = {"base_url": "http://flaky.invalid/v1", "concurrency_limit": 4}
+        raw = dict(base, output_dir=str(tmp_path / "doomed"), endpoint=endpoint)
+        with pytest.raises(RunStageError):
+            _flaky_run(monkeypatch, raw, transport)
+        assert not (tmp_path / "doomed").exists()
+        error = json.loads((tmp_path / "doomed.partial" / "error.json").read_text(encoding="utf-8"))
+        assert error["stage"] == "infer"
+        assert error["message"].startswith(
+            f"[stage=infer] snippet {doomed.id!r}, emotion fear: retries exhausted after 4 attempts: "
+        ), error["message"]
+        info["detail"] = (
+            f"{len(distinct)} prompts, {'/'.join(injected)} injected failures at concurrency 1/4, "
+            "clean-run bytes, replayed backoff, named quarantine"
+        )

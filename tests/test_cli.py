@@ -482,6 +482,44 @@ class TestInputsRejectedByName:
         test_csv = workdir / "test.csv"
         assert capsys.readouterr().err == f"error: [stage=load] {test_csv}: duplicate column(s): {repeated}\n"
 
+    @pytest.mark.parametrize("command", ["run", "retrieve"])
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            pytest.param({"id": "id", "text": "id"}, "id and text both name CSV column 'id'", id="id-is-text"),
+            pytest.param({"text": "joy"}, "text and emotions.joy both name CSV column 'joy'", id="text-on-an-emotion"),
+            pytest.param(
+                {"emotions": {"joy": "fear"}},
+                "emotions.fear and emotions.joy both name CSV column 'fear'",
+                id="emotion-on-another",
+            ),
+            pytest.param(
+                {"emotions": {"anger": "feeling", "joy": "feeling"}},
+                "emotions.anger and emotions.joy both name CSV column 'feeling'",
+                id="two-emotions-on-one",
+            ),
+        ],
+    )
+    def test_column_read_as_two_logical_columns_is_an_error(self, workdir, capsys, command, columns, message):
+        cfg = run_config(workdir, strategy="few_shot", dataset={"test": "test.csv", "train": "train.csv"}, columns=columns)
+        argv = [command, str(cfg)] + (["--query", "joy"] if command == "retrieve" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: columns: {message}\n"
+        assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-sft"])
+    @pytest.mark.parametrize("language", ["de/ch", "de\x00x", "de\tch", "de\x85"], ids=["slash", "nul", "tab", "c1"])
+    def test_ebridge_language_that_cannot_name_a_file_is_an_error(self, workdir, capsys, command, language):
+        deu = EmotionSet.for_language("deu")
+        write_csv(workdir / "deu.csv", make_snippets(random.Random(4), 6, deu, "A"), deu)
+        cfg = run_config(
+            workdir, strategy="export_ebridge", language=language, dataset={"train": "deu.csv", "english_train": "train.csv"}
+        )
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: language: {language!r} names the stage-2 file; it may hold no '/' or control character\n"
+        assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
+
 
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):

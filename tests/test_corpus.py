@@ -222,6 +222,39 @@ class TestLoadDataset:
         assert snippet.labels["joy"] == 1
 
 
+
+#: Column mappings that point two logical columns at one CSV column, and the message.
+ALIASED_SCHEMAS = [
+    pytest.param({"id": "x", "text": "x"}, "id and text both name CSV column 'x'", id="id-is-text"),
+    pytest.param({"text": "joy"}, "text and emotions.joy both name CSV column 'joy'", id="text-on-an-emotion"),
+    pytest.param(
+        {"emotions": {"joy": "fear"}}, "emotions.fear and emotions.joy both name CSV column 'fear'", id="emotion-on-another"
+    ),
+    pytest.param(
+        {"emotions": {"anger": "Gefühl", "joy": "Gefühl"}},
+        "emotions.anger and emotions.joy both name CSV column 'Gefühl'",
+        id="two-emotions-on-one",
+    ),
+    # English has no disgust column, but a schema does not know the language.
+    pytest.param({"text": "disgust"}, "text and emotions.disgust both name CSV column 'disgust'", id="text-on-disgust"),
+]
+
+
+class TestColumnSchema:
+    @pytest.mark.parametrize("kwargs, message", ALIASED_SCHEMAS)
+    def test_each_logical_column_reads_its_own_csv_column(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            ColumnSchema(**kwargs)
+        assert str(info.value) == message
+
+    def test_swapped_emotion_columns_are_distinct(self, tmp_path):
+        es = EmotionSet.for_language("eng")
+        path = write_rows(
+            tmp_path / "d.csv", ["id", "text", "anger", "fear", "joy", "sadness", "surprise"], [["r1", "hi", 0, 1, 0, 0, 0]]
+        )
+        (snippet,) = load_dataset(path, ColumnSchema(emotions={"joy": "fear", "fear": "joy"}), es, "A")
+        assert snippet.labels == {"anger": 0, "fear": 0, "joy": 1, "sadness": 0, "surprise": 0}
+
 #: Label cells as a CSV holds them, and what loading them gives on each track:
 #: the label, or the exact message of the ValidationError for row r1's joy
 #: column after its "<path>: line 2: " prefix.

@@ -354,6 +354,41 @@ def base_url_case(name, url):
     return f"base-url-{name}", setup
 
 
+#: ``columns`` mappings that read one CSV column as two logical columns.
+ALIASED_COLUMNS = {
+    "id-is-text": {"id": "id", "text": "id"},
+    "text-on-an-emotion": {"text": "joy"},
+    "emotion-on-another": {"emotions": {"joy": "fear"}},
+    "two-emotions-on-one": {"emotions": {"anger": "feeling", "joy": "feeling"}},
+    "text-on-disgust": {"text": "disgust"},  # eng has no disgust column
+}
+
+
+def aliased_columns_case(name, columns, command):
+    raw = copy.deepcopy(CONFIGS["run"])
+    raw["columns"] = columns
+
+    def setup(path):
+        (path / "run.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+        return argv_for(command, path)
+
+    return f"columns-{name}-{command}", setup
+
+
+#: E-bridge target language codes that cannot be part of a file name.
+EBRIDGE_LANGUAGES = {"slash": "de/ch", "nul": "de\x00x", "newline": "de\nch", "del": "de\x7f"}
+
+
+def ebridge_language_case(name, language):
+    raw = copy.deepcopy(CONFIGS["export-sft"])
+    raw.update(strategy="export_ebridge", language=language, dataset={"train": "train.csv", "english_train": "train.csv"})
+
+    def setup(path):
+        (path / "case.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+        return ["run", str(path / "case.yaml")]
+
+    return f"ebridge-language-{name}", setup
+
 def _cases():
     """Every case as (id, setup); ``setup(workdir)`` writes the case's input
     and returns its argument list."""
@@ -370,6 +405,12 @@ def _cases():
     cases += [config_file_case("nested-2000-deep", b"x: " + b"[" * 2000 + b"\n"), deep_predictions_case()]
     cases += [config_file_case("repeated-key", yaml.safe_dump(CONFIGS["run"]).encode() + b"seed: 4\n")]
     cases += [base_url_case(name, url) for name, url in BASE_URLS.items()]
+    cases += [
+        aliased_columns_case(name, columns, command)
+        for name, columns in ALIASED_COLUMNS.items()
+        for command in ("run", "retrieve")
+    ]
+    cases += [ebridge_language_case(name, language) for name, language in EBRIDGE_LANGUAGES.items()]
     return [(f"{n:03d}-{case_id}", setup) for n, (case_id, setup) in enumerate(cases)]
 
 
@@ -399,3 +440,7 @@ def test_input_ends_in_a_status_not_a_traceback(tmp_path, capsys, case_id, setup
     if case_id[4:].startswith("base-url-"):
         assert status == 1 and "endpoint: base_url must not hold" in err and "s3cret" not in err, err
         assert not (tmp_path / "out.partial").exists()
+    if case_id[4:].startswith(("columns-", "ebridge-language-")):
+        field = "columns" if case_id[4:].startswith("columns-") else "language"
+        assert status == 1 and err.startswith(f"error: {field}: "), err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.partial").exists()

@@ -211,6 +211,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="language"):
             validate_config(raw)
 
+    @pytest.mark.parametrize("language", ["de/ch", "de\x00x", "de\nch", "de\x7f"])
+    def test_export_ebridge_language_names_a_file(self, language):
+        raw = strategy_raw("export_ebridge")
+        raw["language"] = language
+        with pytest.raises(ConfigError, match=r"^language: .* names the stage-2 file"):
+            validate_config(raw)
+        # Only the E-bridge export names a file after the code.
+        for strategy in ("zero_shot", "export_sft"):
+            assert validate_config(dict(strategy_raw(strategy), language=language)).language == language
+
     def test_export_ebridge_needs_english_train(self):
         raw = minimal_raw(strategy="export_ebridge", language="deu")
         raw["dataset"] = {"train": "t.csv"}
