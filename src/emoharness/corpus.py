@@ -138,11 +138,11 @@ class ColumnSchema:
     """Maps the harness' logical columns onto a CSV's actual header names.
 
     Emotion columns default to the emotion names themselves; ``emotions``
-    overrides individual ones. ``id``, ``text`` and all six emotions' columns
-    must be pairwise distinct, even for a language without one of the
-    emotions: a schema does not know its emotion set, and this way every
-    subset that :func:`load_dataset` reads is distinct too. Raises
-    ValueError otherwise.
+    overrides individual ones, and each of its keys must be one of the six
+    emotions. ``id``, ``text`` and all six emotions' columns must be
+    pairwise distinct, even for a language without one of the emotions: a
+    schema does not know its emotion set, and this way every subset that
+    :func:`load_dataset` reads is distinct too. Raises ValueError otherwise.
     """
 
     id: str = "id"
@@ -150,6 +150,9 @@ class ColumnSchema:
     emotions: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for emotion in self.emotions:
+            if emotion not in EMOTIONS:
+                raise ValueError(f"emotions.{emotion}: not a known emotion")
         named: dict[str, str] = {}
         logical = [("id", self.id), ("text", self.text)] + [(f"emotions.{e}", self.column_for(e)) for e in EMOTIONS]
         for name, column in logical:

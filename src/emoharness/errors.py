@@ -26,15 +26,17 @@ class ConfigError(HarnessError):
 
 
 class TransportError(HarnessError):
-    """An HTTP request failed after exhausting retries."""
+    """An endpoint request failed: at once on a status not worth retrying,
+    else once its retries ran out. ``status`` is the HTTP status, or None."""
 
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
 
 
-class ProtocolError(HarnessError):
-    """The endpoint answered with a body that is not a chat completion."""
+class ProtocolError(TransportError):
+    """The endpoint answered with a body that is not a chat completion;
+    ``status`` is None."""
 
 
 class RunStageError(HarnessError):

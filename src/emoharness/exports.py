@@ -143,6 +143,14 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
     )
 
 
+def check_stage2_language(language: str) -> None:
+    """Raise :class:`ValidationError` unless ``language`` can name the
+    stage-2 file ``stage2_<language>.jsonl``: no '/' and no control
+    character."""
+    if any(c == "/" or c < " " or "\x7f" <= c <= "\x9f" for c in language):
+        raise ValidationError(f"{language!r} names the stage-2 file; it may hold no '/' or control character")
+
+
 def export_ebridge_plan(
     english_instances: list[TaskInstance],
     target_instances: list[TaskInstance],
@@ -152,7 +160,8 @@ def export_ebridge_plan(
     """Write the two-stage (English, then target language) SFT datasets.
 
     Stage 1 must be entirely English; stage 2 must be a single non-English
-    language. A ``plan.json`` manifest records the stage order.
+    language that passes :func:`check_stage2_language`. Nothing is written
+    unless both hold. A ``plan.json`` manifest records the stage order.
     """
     if not english_instances or not target_instances:
         raise ValidationError(f"stage {2 if english_instances else 1} has no instances")
@@ -165,6 +174,7 @@ def export_ebridge_plan(
     target_language = target_langs.pop()
     if target_language == "eng":
         raise ValidationError("stage 2 language must differ from English")
+    check_stage2_language(target_language)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -282,9 +282,10 @@ class CompletionClient:
         ``4 * concurrency_limit`` requests drawn and not yet finished; the
         default transport keeps one keep-alive connection per worker. If a
         request fails, the first failure in input order is raised and the
-        requests still queued are cancelled. A ``TransportError`` or
-        ``ProtocolError`` is raised again as the same class, its message
-        prefixed ``snippet '<id>', emotion <emotion>: `` to name the request.
+        requests still queued are cancelled. A ``TransportError``, or its
+        subclass ``ProtocolError``, is raised again as the same class with
+        the same ``status``, its message prefixed
+        ``snippet '<id>', emotion <emotion>: `` to name the request.
 
         At temperature 0 each distinct prompt is sent once. A later request
         with the same prompt gets the first answer's ``raw_text`` with its
@@ -315,11 +316,9 @@ class CompletionClient:
             else:
                 try:
                     completion = future.result()
-                except (TransportError, ProtocolError) as exc:
+                except TransportError as exc:
                     message = f"snippet {request.snippet_id!r}, emotion {request.emotion}: {exc}"
-                    if isinstance(exc, ProtocolError):
-                        raise ProtocolError(message) from exc
-                    raise TransportError(message, status=exc.status) from exc
+                    raise type(exc)(message, status=exc.status) from exc
                 if digest is not None:
                     answers[digest] = completion.raw_text
             results.append(completion)
@@ -364,33 +363,28 @@ class CompletionClient:
             headers["Authorization"] = f"Bearer {api_key}"
 
         attempts_allowed = self.config.max_retries + 1
-        last_failure: TransportError | ProtocolError | None = None
         for attempt in range(1, attempts_allowed + 1):
             try:
                 status, body = self.transport(url, payload, headers, self.config.timeout)
-                if status == 200:
-                    return self._extract_content(body), attempt
-            except (TransportError, ProtocolError) as exc:  # a malformed 200 body is retried like a 5xx
-                last_failure = exc
-            else:
-                last_failure = TransportError(f"endpoint returned HTTP {status}", status=status)
-                if status != 429 and not 500 <= status <= 599:  # not a status worth retrying
-                    raise last_failure
-            if attempt < attempts_allowed:
+                if status != 200:
+                    raise TransportError(f"endpoint returned HTTP {status}", status=status)
+                return self._extract_content(body), attempt
+            except TransportError as exc:  # a malformed 200 body (status None) is retried like a 5xx
+                if exc.status is not None and exc.status != 429 and not 500 <= exc.status <= 599:
+                    raise
+                if attempt == attempts_allowed:
+                    message = f"retries exhausted after {attempts_allowed} attempts: {exc}"
+                    raise type(exc)(message, status=exc.status) from exc
                 delay = _BACKOFF_BASE_SECONDS * (2 ** (attempt - 1))
                 delay += self.rng.uniform(0.0, 0.5 * delay)
                 log.warning(
                     "completion attempt %d/%d failed (%s); retrying in %.1fs",
                     attempt,
                     attempts_allowed,
-                    last_failure,
+                    exc,
                     delay,
                 )
                 self.sleep(delay)
-        message = f"retries exhausted after {attempts_allowed} attempts: {last_failure}"
-        if isinstance(last_failure, ProtocolError):
-            raise ProtocolError(message) from last_failure
-        raise TransportError(message, status=last_failure.status)
 
     @staticmethod
     def _extract_content(body: str) -> str:

@@ -46,7 +46,14 @@ from .evaluation import (
     marginalise,
     mean_pearson_r,
 )
-from .exports import export_ebridge_plan, export_sft_dataset, write_json, write_jsonl, write_predictions
+from .exports import (
+    check_stage2_language,
+    export_ebridge_plan,
+    export_sft_dataset,
+    write_json,
+    write_jsonl,
+    write_predictions,
+)
 from .inference import (
     CompletionClient,
     CompletionRequest,
@@ -271,9 +278,10 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     if strategy == "export_ebridge":
         if language == "eng":
             raise ConfigError("language: export_ebridge target must differ from eng")
-        # The code names the stage-2 file, stage2_<language>.jsonl.
-        if any(c == "/" or c < " " or "\x7f" <= c <= "\x9f" for c in language):
-            raise ConfigError(f"language: {language!r} names the stage-2 file; it may hold no '/' or control character")
+        try:
+            check_stage2_language(language)
+        except ValidationError as exc:
+            raise ConfigError(f"language: {exc}") from exc
     return config
 
 

@@ -237,6 +237,8 @@ ALIASED_SCHEMAS = [
     ),
     # English has no disgust column, but a schema does not know the language.
     pytest.param({"text": "disgust"}, "text and emotions.disgust both name CSV column 'disgust'", id="text-on-disgust"),
+    # A key that is not an emotion would otherwise change nothing: joy is still read from "joy".
+    pytest.param({"emotions": {"jy": "Freude"}}, "emotions.jy: not a known emotion", id="unknown-emotion"),
 ]
 
 

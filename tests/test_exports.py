@@ -305,6 +305,15 @@ class TestExportEbridgePlan:
             export_ebridge_plan(eng, deu, "A", tmp_path)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("language", ["de/ch", "de\x00x", "de\tch", "de\x85"], ids=["slash", "nul", "tab", "c1"])
+    def test_language_that_cannot_name_the_stage_two_file_writes_nothing(self, tmp_path, language):
+        out = tmp_path / "plan"
+        message = f"{language!r} names the stage-2 file; it may hold no '/' or control character"
+        with pytest.raises(ValidationError) as info:
+            export_ebridge_plan(self._instances("eng"), self._instances(language), "A", out)
+        assert str(info.value) == message
+        assert not out.exists()
+
     def test_round_trip_counts(self, tmp_path):
         eng = self._instances("eng", count=6)
         deu = self._instances("deu", count=3)

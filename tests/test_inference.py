@@ -330,6 +330,7 @@ class TestCompletionClient:
         assert excinfo.value.status == 500
         assert len(transport.calls) == 4  # max_retries + 1 attempts
         assert len(sleeps) == 3
+        assert type(excinfo.value.__cause__) is TransportError and excinfo.value.__cause__.status == 500
 
     def test_non_retryable_status_fails_fast(self):
         client, transport, _ = make_client([(404, "missing")])
@@ -337,6 +338,22 @@ class TestCompletionClient:
             client.complete(REQ)
         assert excinfo.value.status == 404
         assert len(transport.calls) == 1
+
+    # The retry decision reads the failure's status, wherever it was raised.
+    def test_raised_non_retryable_status_is_tried_once(self):
+        client, transport, sleeps = make_client([TE("gone", status=404), (200, ok_body("1"))])
+        with pytest.raises(TransportError) as excinfo:
+            client.complete(REQ)
+        assert str(excinfo.value) == "gone" and excinfo.value.status == 404
+        assert len(transport.calls) == 1 and sleeps == []
+
+    def test_protocol_error_is_a_transport_error_without_status(self):
+        assert issubclass(ProtocolError, TransportError)
+        client, transport, _ = make_client([(200, "<html>oops</html>")] * 2, max_retries=1)
+        with pytest.raises(TransportError) as excinfo:
+            client.complete(REQ)
+        assert type(excinfo.value) is ProtocolError and excinfo.value.status is None
+        assert len(transport.calls) == 2
 
     # A 200 whose body is not a chat completion is retried like a 5xx; once
     # the attempts run out, the last body's ProtocolError is the cause.
