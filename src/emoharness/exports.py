@@ -34,6 +34,8 @@ LEARNING_RATES = {"track_a": 2e-5, "track_b": 5e-5}
 # Built once: ``json.dumps(..., ensure_ascii=False)`` builds a new encoder per call.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 _BATCH_LINES = 4096  # lines per write: a few MB, never the whole file
+#: The longest E-bridge language whose ``stage2_<language>.meta.json`` fits NAME_MAX (255 bytes).
+_STAGE2_LANGUAGE_BYTES = 255 - len("stage2_.meta.json")
 
 
 def _escape(s: str) -> str:
@@ -145,10 +147,15 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
 
 def check_stage2_language(language: str) -> None:
     """Raise :class:`ValidationError` unless ``language`` can name the
-    stage-2 file ``stage2_<language>.jsonl``: no '/' and no control
-    character."""
+    stage-2 files ``stage2_<language>.jsonl`` and ``.meta.json``: no '/', no
+    control character, and a longest name within Linux's 255-byte NAME_MAX."""
     if any(c == "/" or c < " " or "\x7f" <= c <= "\x9f" for c in language):
         raise ValidationError(f"{language!r} names the stage-2 file; it may hold no '/' or control character")
+    size = len(language.encode("utf-8", "surrogatepass"))  # a YAML "\ud800" escape gives a lone surrogate
+    if size > _STAGE2_LANGUAGE_BYTES:
+        raise ValidationError(
+            f"{language!r} names the stage-2 file; it may be at most {_STAGE2_LANGUAGE_BYTES} UTF-8 bytes, not {size}"
+        )
 
 
 def export_ebridge_plan(

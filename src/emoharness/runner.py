@@ -17,7 +17,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -113,9 +113,9 @@ class DatasetPaths:
     train: Path | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One validated (track, language, strategy) experiment."""
+    """One (track, language, strategy) experiment; building it, by ``replace`` too, checks its cross-field rules."""
 
     track: str
     language: str
@@ -130,6 +130,31 @@ class ExperimentConfig:
     endpoint: EndpointConfig | None = None
     mock_id: str | None = None
     oversample: bool = True
+
+    def __post_init__(self):
+        track, strategy, mock_id = self.track, self.strategy, self.mock_id
+        if track not in TRACKS:
+            raise ConfigError(f"track: expected one of {list(TRACKS)}, got {track!r}")
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"strategy: expected one of {list(STRATEGIES)}, got {strategy!r}")
+        if mock_id is not None and mock_id not in BUILTIN_MOCKS:
+            raise ConfigError(f"mock: unknown mock {mock_id!r}; built-in: {sorted(BUILTIN_MOCKS)}")
+        if self.endpoint is not None and mock_id is not None:
+            raise ConfigError("endpoint and mock are mutually exclusive; configure one")
+        for split in _SPLITS[strategy]:
+            if getattr(self.dataset, split) is None:
+                raise ConfigError(f"dataset.{split}: required for strategy {strategy}")
+        if strategy in RUN_STRATEGIES and self.endpoint is None and mock_id is None:
+            raise ConfigError(f"strategy {strategy} needs either endpoint or mock")
+        if strategy in ("few_shot", "marginalise_from_b") and track != TRACK_A:
+            raise ConfigError(f"strategy {strategy} uses presence labels; set track: A")
+        if strategy == "export_ebridge":
+            if self.language == "eng":
+                raise ConfigError("language: export_ebridge target must differ from eng")
+            try:
+                check_stage2_language(self.language)
+            except ValidationError as exc:
+                raise ConfigError(f"language: {exc}") from exc
 
     def snapshot(self) -> dict:
         """JSON-serializable echo of the config with defaults filled in; it
@@ -198,7 +223,7 @@ def _section(cls, value, path: str, where: str | None = None, **given):
     field's annotation picks its check, field defaults fill absent keys and a
     field without one is required; fields in ``given`` are already checked.
     Errors from ``cls``'s own range checks are reported under ``where``
-    (default: ``path``).
+    (default: ``path``); the root's checks name their own field.
     """
     keys = {f.name: _CONFIG_KEYS.get(f.name, f.name) for f in fields(cls)}
     section = _mapping(value, path, set(keys.values()))
@@ -210,11 +235,12 @@ def _section(cls, value, path: str, where: str | None = None, **given):
     try:
         return cls(**given)
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{where or path}: {exc}") from exc
+        raise ConfigError(f"{where or path}: {exc}" if where or path else str(exc)) from exc
 
 
 def validate_config(raw: dict, base_dir: str | Path | None = None) -> ExperimentConfig:
-    """Check every field and cross-field invariant; fill documented defaults.
+    """Check and cast every key of ``raw``, fill documented defaults and
+    resolve paths; :class:`ExperimentConfig` checks the rules across fields.
 
     Unknown keys anywhere are fatal and violations name the offending field
     path, so a typo can never silently change an experiment.
@@ -256,33 +282,7 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
             None if raw.get("endpoint") is None else _section(EndpointConfig, raw["endpoint"], "endpoint")
         ),
     )
-    config.output_dir = base / config.output_dir
-    track, strategy, mock_id = config.track, config.strategy, config.mock_id
-    if track not in TRACKS:
-        raise ConfigError(f"track: expected one of {list(TRACKS)}, got {track!r}")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: expected one of {list(STRATEGIES)}, got {strategy!r}")
-    if mock_id is not None and mock_id not in BUILTIN_MOCKS:
-        raise ConfigError(f"mock: unknown mock {mock_id!r}; built-in: {sorted(BUILTIN_MOCKS)}")
-
-    # Cross-field invariants.
-    if config.endpoint is not None and mock_id is not None:
-        raise ConfigError("endpoint and mock are mutually exclusive; configure one")
-    for split in _SPLITS[strategy]:
-        if getattr(config.dataset, split) is None:
-            raise ConfigError(f"dataset.{split}: required for strategy {strategy}")
-    if strategy in RUN_STRATEGIES and config.endpoint is None and mock_id is None:
-        raise ConfigError(f"strategy {strategy} needs either endpoint or mock")
-    if strategy in ("few_shot", "marginalise_from_b") and track != TRACK_A:
-        raise ConfigError(f"strategy {strategy} uses presence labels; set track: A")
-    if strategy == "export_ebridge":
-        if language == "eng":
-            raise ConfigError("language: export_ebridge target must differ from eng")
-        try:
-            check_stage2_language(language)
-        except ValidationError as exc:
-            raise ConfigError(f"language: {exc}") from exc
-    return config
+    return replace(config, output_dir=base / config.output_dir)
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -431,7 +431,7 @@ def score_predictions(
 
 def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: dict[str, float]) -> dict:
     emotion_set = config.emotion_set
-    # marginalise_from_b asks for intensities; validate_config holds its gold to track A.
+    # marginalise_from_b asks for intensities; ExperimentConfig holds its gold to track A.
     prompt_track = TRACK_B if config.strategy == "marginalise_from_b" else config.track
     template_id = TEMPLATE_IDS[prompt_track]
     language = display_name(config.language)

@@ -1,0 +1,38 @@
+"""The CI workflow gates every benchmark workload and runs the documented
+tier-1 command, so neither can drift from the files that declare them."""
+
+import json
+import re
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _steps():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+    return [step for job in workflow["jobs"].values() for step in job["steps"]]
+
+
+def _runs(needle):
+    return {step["name"]: step["run"] for step in _steps() if needle in step.get("run", "")}
+
+
+def test_benchmark_loops_gate_every_declared_workload():
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    loops = _runs("bench/bench.py")
+    assert set(loops) == {"Benchmark hash gate", "Benchmark call-count gates"}
+    for name, run in loops.items():
+        (looped,) = re.findall(r"for workload in ([^;\n]*); do", run)
+        assert sorted(looped.split()) == sorted(declared), name
+        assert '--workload "$workload"' in run, name
+
+
+def test_tier1_steps_run_the_documented_command():
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
+    runs = _runs("pytest")
+    assert len(runs) == 2
+    for name, run in runs.items():
+        assert run.strip().endswith(command), name

@@ -520,6 +520,19 @@ class TestInputsRejectedByName:
         assert err == f"error: language: {language!r} names the stage-2 file; it may hold no '/' or control character\n"
         assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
 
+    @pytest.mark.parametrize("command", ["run", "export-sft"])
+    def test_ebridge_language_too_long_to_name_a_file_is_an_error(self, workdir, capsys, command):
+        language = "x" * 239
+        deu = EmotionSet.for_language("deu")
+        write_csv(workdir / "deu.csv", make_snippets(random.Random(4), 6, deu, "A"), deu)
+        cfg = run_config(
+            workdir, strategy="export_ebridge", language=language, dataset={"train": "deu.csv", "english_train": "train.csv"}
+        )
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: language: {language!r} names the stage-2 file; it may be at most 238 UTF-8 bytes, not 239\n"
+        assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
+
 
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):

@@ -71,6 +71,15 @@ class TestAggregate:
         with pytest.raises(CompletenessError, match="s1:surprise"):
             aggregate(records, SIX)
 
+    # The message lists the first ten missing pairs and counts the rest.
+    @pytest.mark.parametrize("missing, more", [(10, ""), (11, " (+1 more)")])
+    def test_missing_pairs_listed_up_to_ten(self, missing, more):
+        records = [record(f"s{i}", e, 0) for i in range(missing) for e in EMO[:-1]]
+        shown = ", ".join(f"s{i}:{EMO[-1]}" for i in range(10))
+        with pytest.raises(CompletenessError) as excinfo:
+            aggregate(records, SIX)
+        assert str(excinfo.value) == f"missing (snippet, emotion) predictions: {shown}{more}"
+
     def test_duplicate_pair_rejected(self):
         records = [record("s1", e, 0) for e in EMO] + [record("s1", "joy", 1)]
         with pytest.raises(ValidationError, match="duplicate"):

@@ -314,6 +314,26 @@ class TestExportEbridgePlan:
         assert str(info.value) == message
         assert not out.exists()
 
+    # stage2_<language>.meta.json must fit Linux's NAME_MAX of 255 bytes: 17 go to the rest of the name.
+    @pytest.mark.parametrize("language", ["x" * 239, "ß" * 120], ids=["239-ascii", "240-utf8"])
+    def test_language_too_long_for_the_stage_two_file_writes_nothing(self, tmp_path, language):
+        out = tmp_path / "plan"
+        size = len(language.encode("utf-8"))
+        message = f"{language!r} names the stage-2 file; it may be at most 238 UTF-8 bytes, not {size}"
+        with pytest.raises(ValidationError) as info:
+            export_ebridge_plan(self._instances("eng"), self._instances(language), "A", out)
+        assert str(info.value) == message
+        assert not out.exists()
+
+    def test_longest_language_names_every_file(self, tmp_path):
+        language = "x" * 238
+        export_ebridge_plan(self._instances("eng"), self._instances(language), "A", tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"stage1_eng{suffix}" for suffix in (".jsonl", ".meta.json")]
+            + [f"stage2_{language}{suffix}" for suffix in (".jsonl", ".meta.json")]
+            + ["plan.json"]
+        )
+
     def test_round_trip_counts(self, tmp_path):
         eng = self._instances("eng", count=6)
         deu = self._instances("deu", count=3)

@@ -317,6 +317,13 @@ class TestCompletionClient:
         client, _, _ = make_client([(503, "down"), (200, ok_body("1"))])
         assert client.complete(REQ).attempt_count == 2
 
+    # The retried server errors are exactly 500-599.
+    @pytest.mark.parametrize("status", [500, 599])
+    def test_edges_of_the_5xx_range_retry(self, status):
+        client, transport, _ = make_client([(status, "down"), (200, ok_body("1"))])
+        assert client.complete(REQ).attempt_count == 2
+        assert len(transport.calls) == 2
+
     def test_transport_exception_retries(self):
         client, _, _ = make_client([TE("connection reset"), (200, ok_body("1"))])
         assert client.complete(REQ).attempt_count == 2
@@ -338,6 +345,14 @@ class TestCompletionClient:
             client.complete(REQ)
         assert excinfo.value.status == 404
         assert len(transport.calls) == 1
+
+    @pytest.mark.parametrize("status", [499, 600])
+    def test_status_beside_the_5xx_range_fails_fast(self, status):
+        client, transport, sleeps = make_client([(status, "odd"), (200, ok_body("1"))])
+        with pytest.raises(TransportError) as excinfo:
+            client.complete(REQ)
+        assert excinfo.value.status == status
+        assert len(transport.calls) == 1 and sleeps == []
 
     # The retry decision reads the failure's status, wherever it was raised.
     def test_raised_non_retryable_status_is_tried_once(self):

@@ -7,6 +7,8 @@ import hashlib
 import json
 import random
 import threading
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -16,6 +18,7 @@ from emoharness import (
     STRATEGIES,
     CompletionClient,
     ConfigError,
+    DatasetPaths,
     EmotionSet,
     EndpointConfig,
     GoldLookupMock,
@@ -376,6 +379,57 @@ class TestLoadConfig:
         path.write_text("track: [unclosed", encoding="utf-8")
         with pytest.raises(ConfigError, match="YAML"):
             load_config(path)
+
+
+def _ebridge_change(language):
+    """An E-bridge change of a zero-shot config, as config keys and as fields."""
+    names = {"english_train": "eng.csv", "test": "test.csv", "train": "train.csv"}
+    keys = {"strategy": "export_ebridge", "language": language}
+    paths = DatasetPaths(**{split: Path(name) for split, name in names.items()})
+    return dict(keys, dataset=names), dict(keys, dataset=paths)
+
+
+#: Each change that breaks a rule across fields of a valid keyword-mock config:
+#: (the change to its config keys, the same change to its fields).
+INVALID_CHANGES = {
+    "unknown-track": ({"track": "C"}, {"track": "C"}),
+    "unknown-strategy": ({"strategy": "bogus"}, {"strategy": "bogus"}),
+    "few-shot-without-train": ({"strategy": "few_shot"}, {"strategy": "few_shot"}),
+    "no-model": ({"mock": None}, {"mock_id": None}),
+    "marginalise-on-track-b": (
+        {"strategy": "marginalise_from_b", "track": "B"},
+        {"strategy": "marginalise_from_b", "track": "B"},
+    ),
+    "endpoint-and-mock": (
+        {"endpoint": {"base_url": "http://h/v1", "model_name": "m"}},
+        {"endpoint": EndpointConfig(base_url="http://h/v1", model_name="m")},
+    ),
+    "ebridge-to-eng": _ebridge_change("eng"),
+    "ebridge-language-with-slash": _ebridge_change("de/ch"),
+    "ebridge-language-too-long": _ebridge_change("x" * 239),
+}
+
+
+class TestConfigInvariants:
+    """``ExperimentConfig`` checks its rules across fields itself, so a config
+    changed in code is held to the rules of one read from a file."""
+
+    @pytest.mark.parametrize("keys, changes", INVALID_CHANGES.values(), ids=INVALID_CHANGES)
+    def test_replace_breaking_a_rule_is_the_config_error(self, tmp_path, monkeypatch, keys, changes):
+        monkeypatch.chdir(tmp_path)
+        raw = minimal_raw(mock="keyword")
+        with pytest.raises(ConfigError) as expected:
+            validate_config(dict(raw, **keys))
+        config = validate_config(raw)
+        with pytest.raises(ConfigError) as excinfo:
+            replace(config, **changes)
+        assert str(excinfo.value) == str(expected.value)
+        assert not Path("out").exists() and not Path("out.partial").exists()
+
+    def test_fields_cannot_be_assigned(self):
+        config = validate_config(minimal_raw())
+        with pytest.raises(FrozenInstanceError):
+            config.track = "C"
 
 
 def base_config(tmp_path, csv_path, **overrides):
