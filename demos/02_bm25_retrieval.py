@@ -5,10 +5,12 @@ Ranking training snippets with Okapi BM25
 
 Few-shot prompts need example snippets that resemble the query text.
 The retrieval layer builds an inverted index over the training split and
-ranks documents with BM25 (k1=1.5, b=0.75): the index stores each
-posting's contribution, computed with exactly the arithmetic of the
-single-document `score`, so a query is tokenized once and scored term at a
-time by adding the stored contributions of its terms' postings. Terms whose raw IDF would be
+ranks documents with BM25 (k1=1.5, b=0.75): the index, built in a few
+whole-corpus numpy passes, stores each posting's contribution, computed with
+exactly the arithmetic of the single-document `score`. A query is tokenized
+once, its terms' postings are concatenated in query order, and one
+`bincount` sums each document's contributions in that order, so `top_k`
+and `score` agree bit for bit. Terms whose raw IDF would be
 zero or negative are floored to a fraction of the mean positive IDF so
 very common words still contribute a little instead of flipping sign.
 """

@@ -148,10 +148,14 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
 def check_stage2_language(language: str) -> None:
     """Raise :class:`ValidationError` unless ``language`` can name the
     stage-2 files ``stage2_<language>.jsonl`` and ``.meta.json``: no '/', no
-    control character, and a longest name within Linux's 255-byte NAME_MAX."""
+    control character, no lone surrogate, and a longest name within Linux's
+    255-byte NAME_MAX."""
     if any(c == "/" or c < " " or "\x7f" <= c <= "\x9f" for c in language):
         raise ValidationError(f"{language!r} names the stage-2 file; it may hold no '/' or control character")
-    size = len(language.encode("utf-8", "surrogatepass"))  # a YAML "\ud800" escape gives a lone surrogate
+    try:
+        size = len(language.encode("utf-8"))
+    except UnicodeEncodeError:  # a YAML "\ud800" escape gives a lone surrogate
+        raise ValidationError(f"{language!r} names the stage-2 file; it may hold no lone surrogate") from None
     if size > _STAGE2_LANGUAGE_BYTES:
         raise ValidationError(
             f"{language!r} names the stage-2 file; it may be at most {_STAGE2_LANGUAGE_BYTES} UTF-8 bytes, not {size}"

@@ -2,17 +2,24 @@
 
 ``build_index`` stores an inverted index in flat CSR form: one array of
 document positions holds every term's postings back to back (ascending
-within a term), a parallel array ``posting_weights`` holds each posting's
-BM25 contribution ``idf * tf * (k1 + 1) / (tf + norm)``, and ``postings``
-maps each term to its ``(start, end)`` slice. Each weight is computed with
-the IEEE operations, in the order, that ``score`` uses for one query token
-in one document, so it is the very float ``score`` adds.
+within a term), parallel arrays hold each posting's token count
+(``posting_freqs``) and its BM25 contribution ``idf * tf * (k1 + 1) /
+(tf + norm)`` (``posting_weights``), and ``postings`` maps each term to its
+``(start, end)`` slice. Each weight is computed with the IEEE operations, in
+the order, that ``score`` uses for one query token in one document, so it is
+the very float ``score`` adds. The build strips each distinct
+whitespace-split part once and then works in a few whole-corpus numpy
+passes: one term id per part, document lengths and document frequencies by
+``bincount``, and the (term, document) pairs with their counts by one
+``unique`` over ``term * doc_count + doc`` keys, which sorts them term-major
+with documents ascending.
 
 ``top_k`` scores term at a time, as Lucene and Pyserini do: it tokenizes
-the query once and, for each query token in order (repeats included), adds
-that term's weights to an accumulator over the documents in its postings
-only. Each document's sum is then ``score``'s sum, term for term and in
-the same order, so the two agree bit for bit, and a stable sort keeps tied
+the query once, concatenates the postings of its tokens in query order
+(repeats included) and sums their weights per document with one
+``bincount``, which adds each document's weights in input order. Each
+document's sum is then ``score``'s sum, term for term and in the same
+order, so the two agree bit for bit, and a stable sort keeps tied
 documents in corpus order.
 """
 
@@ -20,8 +27,8 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -55,13 +62,10 @@ class RetrievalConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-def _strip_punctuation(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
-        end -= 1
-    return token[start:end]
+def _punctuation(text: str) -> str:
+    """The distinct characters of ``text`` in a Unicode P* category: stripping
+    them with ``str.strip`` strips every edge punctuation mark of its parts."""
+    return "".join(c for c in set(text) if unicodedata.category(c).startswith("P"))
 
 
 def tokenize(text: str) -> list[str]:
@@ -71,21 +75,9 @@ def tokenize(text: str) -> list[str]:
     Chinese) collapse to near-whole-sentence tokens and retrieval quality
     degrades accordingly.
     """
-    return _tokenize(text, {})
-
-
-def _tokenize(text: str, stripped: dict[str, str]) -> list[str]:
-    """``tokenize``, reusing and filling ``stripped``, a map from each
-    whitespace-split part to its stripped form. ``build_index`` passes one
-    map for its whole corpus, so each distinct part is stripped once."""
-    tokens = []
-    for part in text.lower().split():
-        token = stripped.get(part)
-        if token is None:
-            token = stripped[part] = _strip_punctuation(part)
-        if token:
-            tokens.append(token)
-    return tokens
+    lowered = text.lower()
+    punctuation = _punctuation(lowered)
+    return [token for token in (part.strip(punctuation) for part in lowered.split()) if token]
 
 
 @dataclass(eq=False)
@@ -96,10 +88,10 @@ class Bm25Index:
     doc_ids: tuple[str, ...]
     doc_count: int
     avgdl: float
-    term_frequencies: tuple[dict[str, int], ...]
     idf: dict[str, float]
-    postings: dict[str, tuple[int, int]]  # term -> slice of posting_docs/posting_weights
+    postings: dict[str, tuple[int, int]]  # term -> slice of the posting_* arrays
     posting_docs: np.ndarray  # document positions, ascending within each term
+    posting_freqs: np.ndarray  # the term's token count in that document
     # float64 BM25 contribution of each posting, idf * tf * (k1 + 1) / (tf + norm)
     # with norm = k1 * (1 - b + b * len / avgdl): the operations, in the order,
     # that ``score`` performs per token, so a sum of these equals its total.
@@ -107,6 +99,16 @@ class Bm25Index:
 
     def __post_init__(self):
         self._positions = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+
+    @cached_property
+    def term_frequencies(self) -> tuple[dict[str, int], ...]:
+        """Each document's token counts, rebuilt from the postings on first read."""
+        frequencies: tuple[dict[str, int], ...] = tuple({} for _ in range(self.doc_count))
+        docs, freqs = self.posting_docs.tolist(), self.posting_freqs.tolist()
+        for term, (start, end) in self.postings.items():
+            for position in range(start, end):
+                frequencies[docs[position]][term] = freqs[position]
+        return frequencies
 
     def position(self, doc_id: str) -> int:
         return self._positions[doc_id]  # KeyError for unknown ids
@@ -128,6 +130,12 @@ class Bm25Index:
 def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()) -> Bm25Index:
     """Index ``(doc_id, text)`` pairs.
 
+    Tokens are ``tokenize``'s, but each distinct whitespace-split part is
+    stripped once for the whole corpus; terms are numbered in order of first
+    appearance in the token stream, which is the order of ``idf`` and
+    ``postings``. Lengths, document frequencies and the postings come from
+    numpy passes over one term id per part, with no loop per document.
+
     Raw IDF is ``ln((N - n + 0.5) / (n + 0.5))``; any non-positive value is
     replaced by ``epsilon * mean(positive IDFs)`` so every term contributes a
     non-negative score. With no positive IDFs at all the floor is 0.
@@ -137,56 +145,62 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
     doc_ids = tuple(doc_id for doc_id, _ in corpus)
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError("duplicate document ids in corpus")
-
-    stripped: dict[str, str] = {}
-    term_frequencies = tuple(Counter(_tokenize(text, stripped)) for _, text in corpus)
-    doc_lengths = tuple(sum(tf.values()) for tf in term_frequencies)
     doc_count = len(corpus)
-    if not any(doc_lengths):
-        raise ValueError("cannot build an index over a corpus with no tokens")
-    avgdl = sum(doc_lengths) / doc_count
 
-    # Each term's postings as one flat list of (position, freq) pairs, in
-    # ascending position; terms in order of first appearance.
-    postings_by_term: defaultdict[str, list[int]] = defaultdict(list)
-    for position, tf in enumerate(term_frequencies):
-        for term, freq in tf.items():
-            postings_by_term[term] += (position, freq)
-    document_frequency = {term: len(pairs) // 2 for term, pairs in postings_by_term.items()}
+    split = [text.lower().split() for _, text in corpus]
+    parts = list(chain.from_iterable(split))
+    # Distinct parts in order of first appearance, so a term's id is its rank
+    # of first appearance; -1 marks a part that strips to nothing.
+    term_ids: dict[str, int] = {}
+    part_terms: dict[str, int] = {}
+    distinct = dict.fromkeys(parts)
+    punctuation = _punctuation("".join(distinct))
+    for part in distinct:
+        token = part.strip(punctuation)
+        part_terms[part] = term_ids.setdefault(token, len(term_ids)) if token else -1
+    terms = np.fromiter(map(part_terms.__getitem__, parts), dtype=np.int64, count=len(parts))
+    docs = np.repeat(np.arange(doc_count, dtype=np.int64), [len(doc_parts) for doc_parts in split])
+    kept = terms >= 0
+    terms, docs = terms[kept], docs[kept]
+    if not terms.size:
+        raise ValueError("cannot build an index over a corpus with no tokens")
+    doc_lengths = np.bincount(docs, minlength=doc_count)
+    avgdl = terms.size / doc_count
+
+    # Term-major keys, so the sorted pairs are each term's postings back to
+    # back with documents ascending.
+    keys, freqs = np.unique(terms * doc_count + docs, return_counts=True)
+    posting_terms, posting_docs = np.divmod(keys, doc_count)
+    document_frequency = np.bincount(posting_terms, minlength=len(term_ids)).tolist()
 
     raw_idf = {
         term: math.log((doc_count - n + 0.5) / (n + 0.5))
-        for term, n in document_frequency.items()
+        for term, n in zip(term_ids, document_frequency)
     }
     positive = [v for v in raw_idf.values() if v > 0]
     floor = params.idf_floor_epsilon * (sum(positive) / len(positive)) if positive else 0.0
     idf = {term: (v if v > 0 else floor) for term, v in raw_idf.items()}
 
-    postings: dict[str, tuple[int, int]] = {}
-    end = 0
-    for term, n in document_frequency.items():
-        postings[term] = (end, end + n)
-        end += n
-    pairs = np.fromiter(chain.from_iterable(postings_by_term.values()), dtype=np.intp, count=2 * end)
-    posting_docs = np.ascontiguousarray(pairs[0::2])
-    freqs = pairs[1::2].astype(np.float64)
+    ends = np.cumsum(document_frequency).tolist()
+    postings = {term: (end - n, end) for term, n, end in zip(term_ids, document_frequency, ends)}
+    posting_docs = posting_docs.astype(np.intp, copy=False)
+    posting_freqs = freqs.astype(np.intp, copy=False)
     k1, b = params.k1, params.b
-    norms = np.array([k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths], dtype=np.float64)
-    idfs = np.repeat(
-        np.fromiter(idf.values(), dtype=np.float64, count=len(idf)), list(document_frequency.values())
-    )
+    norms = k1 * (1.0 - b + b * doc_lengths / avgdl)
+    idfs = np.repeat(np.fromiter(idf.values(), dtype=np.float64, count=len(idf)), document_frequency)
+    tf = posting_freqs.astype(np.float64)
     # ``score``'s ``idf * freq * (k1 + 1.0) / (freq + norm)``, left to right.
-    posting_weights = idfs * freqs * (k1 + 1.0) / (freqs + norms[posting_docs])
+    posting_weights = idfs * tf * (k1 + 1.0) / (tf + norms[posting_docs])
 
     return Bm25Index(
         params=params,
         doc_ids=doc_ids,
         doc_count=doc_count,
         avgdl=avgdl,
-        term_frequencies=term_frequencies,
         idf=idf,
         postings=postings,
         posting_docs=posting_docs,
+        posting_freqs=posting_freqs,
         posting_weights=posting_weights,
     )
 
@@ -214,23 +228,24 @@ def score(index: Bm25Index, query: str, doc_id: str) -> float:
 def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[str, float]]:
     """The k best-scoring documents, descending; ties break by corpus position.
 
-    Tokenizes the query once, then for each token in order (a repeated
-    token is added again) adds that term's ``posting_weights`` to the
-    documents in its postings only; documents sharing no term keep 0. Each
+    Tokenizes the query once, concatenates the postings of its tokens in
+    order (a repeated token's postings come again) and sums them per
+    document with one ``bincount``; documents sharing no term keep 0. Each
     weight is the float ``score`` computes for that token and document, and
-    the additions run in ``score``'s order, so scores equal it exactly. Only
-    the documents scoring at least the k-th largest score are sorted; a
-    stable sort on their negated scores keeps equal scores in corpus order.
+    ``bincount`` adds a document's weights in input order, which is
+    ``score``'s order, so scores equal it exactly. Only the documents scoring
+    at least the k-th largest score are sorted; a stable sort on their
+    negated scores keeps equal scores in corpus order.
     """
     if config.k > index.doc_count:
         raise ValueError(f"k={config.k} exceeds indexed document count {index.doc_count}")
-    scores = np.zeros(index.doc_count)
-    for token in tokenize(query):
-        span = index.postings.get(token)
-        if span is None:
-            continue
-        start, end = span
-        scores[index.posting_docs[start:end]] += index.posting_weights[start:end]
+    spans = [slice(*index.postings[token]) for token in tokenize(query) if token in index.postings]
+    # The empty leading slices give a query with no indexed token all-zero scores.
+    scores = np.bincount(
+        np.concatenate([index.posting_docs[:0], *(index.posting_docs[span] for span in spans)]),
+        np.concatenate([index.posting_weights[:0], *(index.posting_weights[span] for span in spans)]),
+        minlength=index.doc_count,
+    )
     kth = np.partition(scores, -config.k)[-config.k]
     candidates = np.flatnonzero(scores >= kth)
     order = candidates[np.argsort(-scores[candidates], kind="stable")[: config.k]]

@@ -86,6 +86,16 @@ def _non_empty_str(value) -> bool:
     return isinstance(value, str) and bool(value.strip())
 
 
+def _utf8(value: str) -> str:
+    """``value``, unless UTF-8 cannot encode it: a YAML "\\ud800" escape
+    gives a lone surrogate, which no output file or report could hold."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{value!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+    return value
+
+
 def _finite_number(value) -> bool:
     try:
         return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -94,10 +104,11 @@ def _finite_number(value) -> bool:
 
 
 #: For each settings-field annotation: what a value must be, the test and the
-#: conversion. Annotations are strings: the settings modules all use
+#: conversion, which raises ValueError for a value the test lets through but
+#: the run cannot use. Annotations are strings: the settings modules all use
 #: ``from __future__ import annotations``.
 _CHECKS = {
-    "str": ("a non-empty string", _non_empty_str, str),
+    "str": ("a non-empty string", _non_empty_str, _utf8),
     "Path": ("a non-empty string without NUL", lambda v: _non_empty_str(v) and "\x00" not in v, Path),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
     "float": ("a finite number", _finite_number, float),
@@ -213,7 +224,10 @@ def _cast(value, type_: str, path: str, required: bool = False):
     expected, accepts, convert = _CHECKS[type_.removesuffix(" | None")]
     if not accepts(value):
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-    return convert(value)
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _section(cls, value, path: str, where: str | None = None, **given):

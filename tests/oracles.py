@@ -8,6 +8,7 @@ bug in the implementation cannot hide in its own oracle.
 import csv
 import math
 import re
+import unicodedata
 
 
 def ref_f1_per_emotion(gold: dict[str, dict[str, int]], pred: dict[str, dict[str, int]], emotions):
@@ -55,6 +56,21 @@ def ref_mean_pearson(gold, pred, emotions) -> float:
         ys = [float(pred[sid][emotion]) for sid in ids]
         total += ref_pearson(xs, ys)
     return total / len(emotions)
+
+
+def ref_tokenize(text: str) -> list[str]:
+    """Lowercase, split on whitespace, then drop P* characters off each part's
+    edges one at a time; parts left empty are dropped."""
+    tokens = []
+    for part in text.lower().split():
+        start, end = 0, len(part)
+        while start < end and unicodedata.category(part[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(part[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            tokens.append(part[start:end])
+    return tokens
 
 
 def ref_bm25_idf(corpus_tokens: list[list[str]], epsilon: float) -> dict[str, float]:

@@ -533,6 +533,24 @@ class TestInputsRejectedByName:
         assert err == f"error: language: {language!r} names the stage-2 file; it may be at most 238 UTF-8 bytes, not 239\n"
         assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
 
+    @pytest.mark.parametrize(
+        "command, strategy",
+        [("run", "zero_shot"), ("run", "export_ebridge"), ("export-sft", "export_ebridge")],
+    )
+    def test_lone_surrogate_language_is_an_error(self, workdir, capsys, command, strategy):
+        # PyYAML reads the "\\ud800" escape that yaml.safe_dump writes as a lone surrogate.
+        deu = EmotionSet.for_language("deu")
+        write_csv(workdir / "deu.csv", make_snippets(random.Random(4), 6, deu, "A"), deu)
+        overrides = {}
+        if strategy == "export_ebridge":
+            overrides = {"dataset": {"train": "deu.csv", "english_train": "train.csv"}, "mock": None}
+        cfg = run_config(workdir, strategy=strategy, language="\ud800", **overrides)
+        assert b"\\uD800" in cfg.read_bytes()
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: language: '\\ud800' holds a lone surrogate, which UTF-8 cannot encode\n"
+        assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
+
 
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):

@@ -314,6 +314,14 @@ class TestExportEbridgePlan:
         assert str(info.value) == message
         assert not out.exists()
 
+    def test_language_with_a_lone_surrogate_writes_nothing(self, tmp_path):
+        # A YAML "\\ud800" escape gives one; UTF-8 cannot encode the stage-2 file's name.
+        out = tmp_path / "plan"
+        with pytest.raises(ValidationError) as info:
+            export_ebridge_plan(self._instances("eng"), self._instances("de\ud800"), "A", out)
+        assert str(info.value) == "'de\\ud800' names the stage-2 file; it may hold no lone surrogate"
+        assert not out.exists()
+
     # stage2_<language>.meta.json must fit Linux's NAME_MAX of 255 bytes: 17 go to the rest of the name.
     @pytest.mark.parametrize("language", ["x" * 239, "ß" * 120], ids=["239-ascii", "240-utf8"])
     def test_language_too_long_for_the_stage_two_file_writes_nothing(self, tmp_path, language):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from emoharness import Bm25Params, RetrievalConfig, build_index, score, tokenize, top_k
-from oracles import ref_bm25_ranking, ref_bm25_scores
+from oracles import ref_bm25_ranking, ref_bm25_scores, ref_tokenize
 
 P = Bm25Params()
 
@@ -34,6 +34,16 @@ class TestTokenize:
 
     def test_unicode_whitespace_splits(self):
         assert tokenize("a b c") == ["a", "b", "c"]
+
+    def test_equals_the_character_loop(self):
+        # Letters that lowercase to two characters or by context, digits,
+        # symbols (kept), punctuation of several scripts (stripped) and
+        # several kinds of whitespace.
+        pool = "aZß9İΣ$+©^`" + "!\"#%&'()*,-./:;?@[\\]_{}" + "¿¡«»„“”’—…·。「٪؟" + " \t\n\u00a0\u2003"
+        rng = random.Random(3)
+        for _ in range(2000):
+            text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+            assert tokenize(text) == ref_tokenize(text), text
 
 
 class TestBuildIndex:
@@ -306,3 +316,48 @@ class TestTopKEqualsScore:
         parts = {part for text in texts for part in text.split()}
         assert {"--", "...", "!!!", "\u2014"} & parts  # parts that strip to nothing
         assert {"w0", "W0", "(w0)"} <= parts  # one word, several spellings
+
+
+class TestIndexLayout:
+    """The index's exact layout. The order of ``idf`` is the order in which
+    the IDF floor sums the positive values, so a change of term order can
+    change the floor's last bit, and with it rankings and prompts."""
+
+    CORPUS = zipf_corpus(random.Random(13), 400)
+
+    @pytest.mark.parametrize("params", [P, Bm25Params(k1=1.2, b=0.5, idf_floor_epsilon=0.3)], ids=["default", "other"])
+    def test_terms_postings_floor_and_weights(self, params):
+        index = build_index(self.CORPUS, params)
+        documents = [ref_tokenize(text) for _, text in self.CORPUS]
+        n = len(documents)
+
+        # Terms in order of first appearance in the token stream.
+        terms = list(dict.fromkeys(token for tokens in documents for token in tokens))
+        assert list(index.idf) == terms
+        assert list(index.postings) == terms
+
+        # Each term's documents ascending, the terms' slices back to back.
+        end = 0
+        for term in terms:
+            start, stop = index.postings[term]
+            assert start == end
+            assert index.posting_docs[start:stop].tolist() == [d for d, tokens in enumerate(documents) if term in tokens]
+            end = stop
+        assert end == len(index.posting_docs) == len(index.posting_weights)
+
+        # The floor sums the positive raw IDFs in term order.
+        raw = [math.log((n - (stop - start) + 0.5) / ((stop - start) + 0.5)) for start, stop in index.postings.values()]
+        positive = [v for v in raw if v > 0]
+        assert len(positive) < len(raw)  # some terms are floored
+        floor = params.idf_floor_epsilon * (sum(positive) / len(positive))
+        assert list(index.idf.values()) == [v if v > 0 else floor for v in raw]
+
+        # Each weight is the float ``score`` computes for its term and document.
+        avgdl = sum(map(len, documents)) / n
+        assert index.avgdl == avgdl
+        for term in terms:
+            start, stop = index.postings[term]
+            for doc, weight in zip(index.posting_docs[start:stop].tolist(), index.posting_weights[start:stop].tolist()):
+                freq = documents[doc].count(term)
+                norm = params.k1 * (1.0 - params.b + params.b * len(documents[doc]) / avgdl)
+                assert weight == index.idf[term] * freq * (params.k1 + 1.0) / (freq + norm)

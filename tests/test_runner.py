@@ -224,6 +224,39 @@ class TestValidateConfig:
         for strategy in ("zero_shot", "export_sft"):
             assert validate_config(dict(strategy_raw(strategy), language=language)).language == language
 
+    #: Every string-typed key, each set to a lone surrogate, as PyYAML reads a "\\ud800" escape.
+    SURROGATE_KEYS = {
+        "track": {"track": "\ud800"},
+        "language": {"language": "\ud800"},
+        "strategy": {"strategy": "\ud800"},
+        "mock": {"mock": "\ud800"},
+        "emotions": {"emotions": ["joy", "\ud800"]},
+        "columns.id": {"columns": {"id": "\ud800"}},
+        "columns.text": {"columns": {"text": "\ud800"}},
+        "columns.emotions.joy": {"columns": {"emotions": {"joy": "\ud800"}}},
+        "endpoint.base_url": {"endpoint": {"base_url": "\ud800", "model_name": "m"}, "mock": None},
+        "endpoint.model_name": {"endpoint": {"base_url": "http://h/v1", "model_name": "\ud800"}, "mock": None},
+        "endpoint.api_key_env": {
+            "endpoint": {"base_url": "http://h/v1", "model_name": "m", "api_key_env": "\ud800"},
+            "mock": None,
+        },
+    }
+
+    @pytest.mark.parametrize("key", SURROGATE_KEYS)
+    def test_lone_surrogate_string_named_by_its_key(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(minimal_raw(**self.SURROGATE_KEYS[key]))
+        assert str(excinfo.value) == f"{key}: '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"
+        assert not any(tmp_path.iterdir())
+
+    def test_lone_surrogate_path_is_a_file_name(self, tmp_path, monkeypatch):
+        # On POSIX a surrogate escape stands for an undecodable byte of a real file name.
+        monkeypatch.chdir(tmp_path)
+        config = validate_config(minimal_raw(output_dir="out\udcff", dataset={"test": "t\udcff.csv"}))
+        assert (config.output_dir, config.dataset.test) == (Path("out\udcff"), Path("t\udcff.csv"))
+        assert not any(tmp_path.iterdir())
+
     def test_export_ebridge_needs_english_train(self):
         raw = minimal_raw(strategy="export_ebridge", language="deu")
         raw["dataset"] = {"train": "t.csv"}
