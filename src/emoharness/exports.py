@@ -57,7 +57,10 @@ def write_jsonl(path: Path, rows) -> None:
 
 def write_predictions(path: Path, records: list) -> None:
     """Write a list of ``PredictionRecord``s as JSONL, each line byte for
-    byte what ``write_jsonl`` writes for ``record.as_dict()``.
+    byte what ``write_jsonl`` writes for ``record.as_dict()``, with one
+    exception: a lone surrogate, which an endpoint answer cut off mid-emoji
+    can hold and UTF-8 cannot encode, is written as its JSON ``\\uXXXX``
+    escape, as ``json.dumps`` writes it, so the line reads back the same.
 
     A line's escaped snippet id and raw text sit in text that is fixed by
     the emotion, the track and ``parsed`` with its type (``True == 1``
@@ -67,7 +70,9 @@ def write_predictions(path: Path, records: list) -> None:
     """
     frames: dict[tuple, tuple[str, str]] = {}
     escaped: dict[str, str] = {}
-    with path.open("w", encoding="utf-8") as fh:
+    # Every character UTF-8 cannot encode sits in a JSON string, where
+    # backslashreplace's lowercase \udxxx is that surrogate's JSON escape.
+    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
         for start in range(0, len(records), _BATCH_LINES):
             pieces: list[str] = []
             for r in records[start : start + _BATCH_LINES]:

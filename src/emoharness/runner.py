@@ -417,15 +417,21 @@ def _run(config: ExperimentConfig, mock) -> RunManifest:
         # A failed publish leaves the manifest behind; without it the
         # quarantined directory cannot pass for a finished run.
         (staging / "manifest.json").unlink(missing_ok=True)
-        write_json(
-            staging / "error.json",
-            {
-                "stage": exc.stage,
-                "error": type(exc.__cause__).__name__,
-                "message": str(exc),
-                "time": datetime.now(timezone.utc).isoformat(),
-            },
-        )
+        error_path = staging / "error.json"
+        # Best effort: a disk that refused the stage may refuse this too, and
+        # the stage's error is the one to report.
+        try:
+            write_json(
+                error_path,
+                {
+                    "stage": exc.stage,
+                    "error": type(exc.__cause__).__name__,
+                    "message": str(exc),
+                    "time": datetime.now(timezone.utc).isoformat(),
+                },
+            )
+        except OSError as write_exc:
+            log.error("cannot record the quarantine in %s: %s", error_path, write_exc)
         log.error("run failed; partial artifacts quarantined in %s", staging)
         raise
     return manifest

@@ -1,6 +1,7 @@
 """Command line entry points, driven through main() with argv lists."""
 
 import csv
+import errno
 import json
 import os
 import random
@@ -112,6 +113,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: output_dir: cannot create {workdir / 'afile' / 'out.partial'}: ")
         assert "Traceback" not in err
+
+    def test_refused_error_json_still_reports_the_stage_error(self, workdir, capsys, caplog, monkeypatch):
+        def full_disk(path, payload):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        # report.json and then error.json both go through write_json.
+        monkeypatch.setattr("emoharness.runner.write_json", full_disk)
+        cfg = run_config(workdir)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line.startswith("error: [stage=score] ")
+        assert "Traceback" not in err
+        assert any(str(workdir / "out.partial" / "error.json") in r.getMessage() for r in caplog.records)
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "401-digits"]

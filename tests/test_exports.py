@@ -244,9 +244,15 @@ class TestWritePredictions:
         expected = "".join(_encode_line(r.as_dict()) + "\n" for r in records)
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_lone_surrogate_still_fails_to_encode(self, tmp_path):
-        with pytest.raises(UnicodeEncodeError):
-            write_predictions(tmp_path / "p.jsonl", [PredictionRecord("s1", "joy", "A", "bad \ud800", None)])
+    def test_lone_surrogate_is_written_as_its_json_escape(self, tmp_path):
+        # An endpoint answer cut off mid-emoji; UTF-8 cannot encode it, JSON can escape it.
+        record = PredictionRecord("s1", "joy", "A", "bad \ud800 \udfff", None)
+        out = tmp_path / "p.jsonl"
+        write_predictions(out, [record])
+        line = out.read_text(encoding="utf-8")
+        assert line == json.dumps(record.as_dict()) + "\n"
+        assert "\\ud800 \\udfff" in line
+        assert PredictionRecord.from_dict(json.loads(line)) == record
 
 
 class TestExportEbridgePlan:

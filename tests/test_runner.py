@@ -22,6 +22,7 @@ from emoharness import (
     EmotionSet,
     EndpointConfig,
     GoldLookupMock,
+    PredictionRecord,
     RunStageError,
     Snippet,
     explode,
@@ -713,6 +714,26 @@ class TestRunPipeline:
         assert error["message"].startswith("[stage=publish] ")
         assert [p.name for p in config.output_dir.iterdir()] == ["squatter.txt"]
         assert not (tmp_path / "out.partial" / "manifest.json").exists()
+
+    def test_answer_with_a_lone_surrogate_publishes_and_reads_back(self, tmp_path, eng_test_csv):
+        # Valid JSON that decodes to a str UTF-8 cannot encode: an answer cut off mid-emoji.
+        answer = json.loads('"1 \\ud83d"')
+        csv_path, snippets = eng_test_csv
+
+        class CutOff:
+            def respond(self, prompt):
+                return answer
+
+        config = base_config(tmp_path, csv_path)
+        run(config, mock=CutOff())
+        lines = (config.output_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        assert all('"raw_text": "1 \\ud83d"' in line for line in lines)
+        written = [
+            PredictionRecord(s.id, emotion, "A", answer, 1)
+            for s in snippets
+            for emotion in EmotionSet.for_language("eng").emotions
+        ]
+        assert [PredictionRecord.from_dict(json.loads(line)) for line in lines] == written
 
     def test_existing_output_dir_rejected_before_any_io(self, tmp_path, eng_test_csv):
         csv_path, _ = eng_test_csv
