@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -75,21 +77,27 @@ def aggregate(records: list[PredictionRecord], emotion_set: EmotionSet) -> list[
     track = records[0].track
     emotions = emotion_set.emotions
 
-    by_snippet: dict[str, dict[str, PredictionRecord]] = {}
+    # Each slot maps emotion to ``parsed``; a parse failure stays None until its vector is built.
+    by_snippet: dict[str, dict[str, int | None]] = {}
     for record in records:
-        if record.emotion not in emotions:
+        emotion = record.emotion
+        if emotion not in emotions:
             raise ValidationError(
-                f"snippet {record.snippet_id!r}: emotion {record.emotion!r} "
+                f"snippet {record.snippet_id!r}: emotion {emotion!r} "
                 f"is not in the active set {list(emotions)}"
             )
-        slot = by_snippet.setdefault(record.snippet_id, {})
-        if record.emotion in slot:
-            raise ValidationError(f"duplicate record for ({record.snippet_id!r}, {record.emotion})")
-        slot[record.emotion] = record
+        slot = by_snippet.get(record.snippet_id)
+        if slot is None:
+            slot = by_snippet[record.snippet_id] = {}
+        elif emotion in slot:
+            raise ValidationError(f"duplicate record for ({record.snippet_id!r}, {emotion})")
+        slot[emotion] = record.parsed
 
+    # A slot holds only active emotions, once each, so a full one has no gap.
     gaps = [
         f"{snippet_id}:{emotion}"
         for snippet_id, slot in by_snippet.items()
+        if len(slot) != len(emotions)
         for emotion in emotions
         if emotion not in slot
     ]
@@ -99,7 +107,7 @@ def aggregate(records: list[PredictionRecord], emotion_set: EmotionSet) -> list[
         raise CompletenessError(f"missing (snippet, emotion) predictions: {shown}{more}")
 
     return [
-        LabelVector(snippet_id, {e: slot[e].label_or_zero for e in emotions}, track)
+        LabelVector(snippet_id, {e: 0 if slot[e] is None else slot[e] for e in emotions}, track)
         for snippet_id, slot in by_snippet.items()
     ]
 
@@ -120,6 +128,7 @@ def _aligned_matrices(
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     if not gold:
         raise ValueError("gold vectors are empty")
+    id_sets = []
     for name, vectors in (("gold", gold), ("pred", pred)):
         off_track = [v for v in vectors if v.track != track]
         if off_track:
@@ -127,28 +136,32 @@ def _aligned_matrices(
                 f"{name} vector {off_track[0].snippet_id!r} is track "
                 f"{off_track[0].track}, expected {track}"
             )
-        ids = [v.snippet_id for v in vectors]
-        if len(set(ids)) != len(ids):
+        ids = {v.snippet_id for v in vectors}
+        if len(ids) != len(vectors):
             raise AlignmentError(f"duplicate snippet ids in {name}")
-    gold_ids = {v.snippet_id for v in gold}
-    pred_ids = {v.snippet_id for v in pred}
+        id_sets.append(ids)
+    gold_ids, pred_ids = id_sets
     if gold_ids != pred_ids:
         missing = sorted(gold_ids - pred_ids)[:5]
         extra = sorted(pred_ids - gold_ids)[:5]
         raise AlignmentError(f"snippet ids differ; missing from pred: {missing}, unexpected: {extra}")
-    emotions = tuple(gold[0].values)
-    for v in list(gold) + list(pred):
-        if set(v.values) != set(emotions):
+    keys = gold[0].values.keys()
+    emotions = tuple(keys)
+    for v in chain(gold, pred):
+        if v.values.keys() != keys:
             raise AlignmentError(
                 f"snippet {v.snippet_id!r} labels emotions {sorted(v.values)}, "
                 f"expected {sorted(emotions)}"
             )
-    # Canonical id order makes the computation invariant to input permutation.
-    gold_sorted = sorted(gold, key=lambda v: v.snippet_id)
-    pred_sorted = sorted(pred, key=lambda v: v.snippet_id)
-    g = np.array([[v.values[e] for e in emotions] for v in gold_sorted], dtype=np.float64)
-    p = np.array([[v.values[e] for e in emotions] for v in pred_sorted], dtype=np.float64)
-    return emotions, g, p
+    row = itemgetter(*emotions)
+
+    def matrix(vectors):
+        # Canonical id order makes the computation invariant to input permutation.
+        rows = [row(v.values) for v in sorted(vectors, key=attrgetter("snippet_id"))]
+        # With one emotion, itemgetter returns a scalar, not a one-item tuple.
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(emotions))
+
+    return emotions, matrix(gold), matrix(pred)
 
 
 def _report(metric_kind: str, gold, pred, track: str, score_column) -> MetricsReport:

@@ -49,18 +49,36 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_jsonl(path: Path, rows) -> None:
+def write_vectors(path: Path, vectors: list) -> None:
+    """Write a list of ``LabelVector``s as JSONL, each line byte for byte
+    ``_encode_line`` of ``{"snippet_id": …, "track": …, "values": …}``.
+    The file is strict UTF-8: an id holding a lone surrogate raises
+    ``UnicodeEncodeError``.
+
+    Everything after the escaped id is fixed by the track and the values
+    with their types (``True == 1`` prints apart), so that text is built
+    once per such key.
+    """
+    tails: dict[tuple, str] = {}
     with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(_encode_line(row) + "\n")
+        for start in range(0, len(vectors), _BATCH_LINES):
+            pieces: list[str] = []
+            for v in vectors[start : start + _BATCH_LINES]:
+                values = v.values
+                key = (v.track, tuple(values.items()), tuple(map(type, values.values())))
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = f'", "track": {_encode_line(v.track)}, "values": {_encode_line(values)}}}\n'
+                pieces += ('{"snippet_id": "', _escape(v.snippet_id), tail)
+            fh.write("".join(pieces))
 
 
 def write_predictions(path: Path, records: list) -> None:
     """Write a list of ``PredictionRecord``s as JSONL, each line byte for
-    byte what ``write_jsonl`` writes for ``record.as_dict()``, with one
-    exception: a lone surrogate, which an endpoint answer cut off mid-emoji
-    can hold and UTF-8 cannot encode, is written as its JSON ``\\uXXXX``
-    escape, as ``json.dumps`` writes it, so the line reads back the same.
+    byte ``_encode_line(record.as_dict()) + "\\n"``, with one exception: a
+    lone surrogate, which an endpoint answer cut off mid-emoji can hold and
+    UTF-8 cannot encode, is written as its JSON ``\\uXXXX`` escape, as
+    ``json.dumps`` writes it, so the line reads back the same.
 
     A line's escaped snippet id and raw text sit in text that is fixed by
     the emotion, the track and ``parsed`` with its type (``True == 1``

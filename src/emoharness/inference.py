@@ -93,7 +93,7 @@ class EndpointConfig:
             raise ConfigError(f"concurrency_limit must be >= 1, got {self.concurrency_limit}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CompletionRequest:
     snippet_id: str
     emotion: str

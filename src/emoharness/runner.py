@@ -16,7 +16,7 @@ import math
 import os
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,8 +51,8 @@ from .exports import (
     export_ebridge_plan,
     export_sft_dataset,
     write_json,
-    write_jsonl,
     write_predictions,
+    write_vectors,
 )
 from .inference import (
     CompletionClient,
@@ -432,6 +432,9 @@ def _run(config: ExperimentConfig, mock) -> RunManifest:
             )
         except OSError as write_exc:
             log.error("cannot record the quarantine in %s: %s", error_path, write_exc)
+            # A write refused after the open leaves a file cut short, which is not JSON.
+            with suppress(OSError):
+                error_path.unlink(missing_ok=True)
         log.error("run failed; partial artifacts quarantined in %s", staging)
         raise
     return manifest
@@ -509,10 +512,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
         vectors = aggregate(records, emotion_set)
         if config.strategy == "marginalise_from_b":
             vectors = [marginalise(v) for v in vectors]
-        write_jsonl(
-            staging / "aggregated.jsonl",
-            ({"snippet_id": v.snippet_id, "track": v.track, "values": v.values} for v in vectors),
-        )
+        write_vectors(staging / "aggregated.jsonl", vectors)
 
     with _stage("score", stage_seconds):
         report = score_predictions(snippets, vectors, records, config.track)

@@ -1,11 +1,14 @@
-"""The CI workflow gates every benchmark workload and runs the documented
-tier-1 command, so neither can drift from the files that declare them."""
+"""The CI workflow gates every benchmark workload, runs the documented
+tier-1 command and checks every light module, so none of these can drift
+from the files that declare them."""
 
 import json
 import re
 from pathlib import Path
 
 import yaml
+
+from test_public_surface import LIGHT_MODULES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +39,10 @@ def test_tier1_steps_run_the_documented_command():
     assert len(runs) == 2
     for name, run in runs.items():
         assert run.strip().endswith(command), name
+
+
+def test_runtime_step_checks_every_light_module():
+    (run,) = [step["run"] for step in _steps() if step.get("name") == "Runtime dependencies alone suffice"]
+    (line,) = [line for line in run.splitlines() if "light modules loaded" in line]
+    (imported,) = re.findall(r'-c "import sys, ([^;]+);', line)
+    assert sorted(imported.split(", ")) == sorted(f"emoharness.{name}" for name in LIGHT_MODULES)

@@ -129,6 +129,24 @@ class TestRunCommand:
         assert any(str(workdir / "out.partial" / "error.json") in r.getMessage() for r in caplog.records)
         assert not (workdir / "out").exists()
 
+    def test_error_json_cut_short_is_removed(self, workdir, capsys, monkeypatch):
+        def disk_full_after_open(path, payload):
+            # The open succeeds and the first bytes land; the rest does not fit.
+            with path.open("w", encoding="utf-8") as fh:
+                fh.write('{\n  "error": "')
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        # report.json and then error.json both go through write_json.
+        monkeypatch.setattr("emoharness.runner.write_json", disk_full_after_open)
+        cfg = run_config(workdir)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line.startswith("error: [stage=score] ")
+        assert (workdir / "out.partial").is_dir()
+        assert not (workdir / "out.partial" / "error.json").exists()
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "401-digits"]
     )

@@ -102,6 +102,12 @@ class TestAggregate:
         assert all(v == 0 for v in vector.values.values())
         assert count_parse_failures(records) == 6
 
+    def test_only_a_parse_failure_becomes_zero(self):
+        # A hand-built False is not a parse failure; the vector rejects it as a bool.
+        records = [record("s1", e, False if e == "joy" else 0) for e in EMO]
+        with pytest.raises(ValidationError, match="joy label False"):
+            aggregate(records, SIX)
+
     def test_empty_records(self):
         assert aggregate([], SIX) == []
 
@@ -219,6 +225,14 @@ class TestMacroF1:
         with pytest.raises(AlignmentError, match="labels emotions"):
             macro_f1(gold, pred)
 
+    def test_emotion_swapped_for_another(self):
+        # As many emotions as gold, but one of them is not gold's.
+        gold = [vec("s1", {e: 0 for e in EMO})]
+        pred = [vec("s1", {e: 0 for e in EMO[:-1] + ["trust"]})]
+        assert len(pred[0].values) == len(gold[0].values)
+        with pytest.raises(AlignmentError, match="labels emotions"):
+            macro_f1(gold, pred)
+
     def test_duplicate_ids(self):
         gold = [vec("s1", {e: 0 for e in EMO}), vec("s1", {e: 0 for e in EMO})]
         with pytest.raises(AlignmentError):
@@ -300,6 +314,24 @@ class TestMeanPearson:
             pred = random_vectors(rng, ids, EMO, "B")
             report = mean_pearson_r(gold, pred)
             assert all(-1.0 <= v <= 1.0 for v in report.per_emotion.values())
+
+
+@pytest.mark.parametrize(
+    "metric, oracle, track",
+    [(macro_f1, ref_macro_f1, "A"), (mean_pearson_r, ref_mean_pearson, "B")],
+    ids=["macro_f1", "mean_pearson_r"],
+)
+def test_one_emotion_set_matches_the_oracle(metric, oracle, track):
+    one = EmotionSet("eng", ("joy",))
+    rng = random.Random(11)
+    ids = [f"s{i}" for i in range(40)]
+    gold = random_vectors(rng, ids, one.emotions, track)
+    pred = random_vectors(rng, ids, one.emotions, track)
+    report = metric(gold, pred)
+    assert list(report.per_emotion) == ["joy"]
+    assert report.counts["instances"] == len(ids)
+    assert not report.counts["degenerate_emotions"]
+    assert report.average == pytest.approx(oracle(as_maps(gold), as_maps(pred), one.emotions), abs=1e-9)
 
 
 class TestMetricsReport:

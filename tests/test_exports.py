@@ -19,7 +19,8 @@ from emoharness import (
     render_zero_shot,
 )
 from emoharness import exports
-from emoharness.exports import _encode_line, write_predictions
+from emoharness.evaluation import LabelVector, marginalise
+from emoharness.exports import _encode_line, write_predictions, write_vectors
 from emoharness.prompting import TEMPLATE_IDS
 from datagen import escape_text
 
@@ -253,6 +254,38 @@ class TestWritePredictions:
         assert line == json.dumps(record.as_dict()) + "\n"
         assert "\\ud800 \\udfff" in line
         assert PredictionRecord.from_dict(json.loads(line)) == record
+
+
+def label_vectors(count, seed=7):
+    """Vectors of both tracks, and marginalised ones, whose ids stress JSON
+    escaping; intensity values repeat, so most lines share their tail."""
+    rng = random.Random(seed)
+    vectors = []
+    for i in range(count):
+        sid = f"{escape_text(rng)}#{i}"
+        track = rng.choice("AB")
+        values = {e: rng.randint(0, 1 if track == "A" else 3) for e in EMOTIONS}
+        vector = LabelVector(sid, values, track)
+        vectors.append(marginalise(vector) if track == "B" and rng.random() < 0.3 else vector)
+    return vectors
+
+
+class TestWriteVectors:
+    @pytest.mark.parametrize("count", [50, 2 * exports._BATCH_LINES + 1], ids=["one-batch", "three-batches"])
+    def test_lines_equal_the_json_encoder(self, tmp_path, count):
+        vectors = label_vectors(count)
+        assert {v.track for v in vectors} == {"A", "B"}
+        out = tmp_path / "aggregated.jsonl"
+        write_vectors(out, vectors)
+        expected = "".join(
+            _encode_line({"snippet_id": v.snippet_id, "track": v.track, "values": v.values}) + "\n" for v in vectors
+        )
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_lone_surrogate_id_still_fails_to_encode(self, tmp_path):
+        vector = LabelVector("bad \ud800", {"joy": 1}, "A")
+        with pytest.raises(UnicodeEncodeError):
+            write_vectors(tmp_path / "aggregated.jsonl", [vector])
 
 
 class TestExportEbridgePlan:
