@@ -1,8 +1,10 @@
-"""Instruction-dataset export and staged fine-tuning plans.
+"""Instruction-dataset export, staged fine-tuning plans and the artifact writers.
 
 Fine-tuning itself runs in external trainers; this module only writes the
 JSONL datasets those trainers consume, plus sidecar metadata carrying the
-training hyperparameters verbatim.
+training hyperparameters verbatim. Every artifact, a run's too, is UTF-8
+written in binary: no newline translation, so its bytes, and the manifest's
+hashes, are the same on every platform.
 """
 
 from __future__ import annotations
@@ -43,10 +45,20 @@ def _escape(s: str) -> str:
     return encode_basestring(s)[1:-1]
 
 
+class _Memo(dict):
+    """A dict that stores and returns ``make(key)`` for a key it lacks."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_bytes((json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_vectors(path: Path, vectors: list) -> None:
@@ -59,18 +71,15 @@ def write_vectors(path: Path, vectors: list) -> None:
     with their types (``True == 1`` prints apart), so that text is built
     once per such key.
     """
-    tails: dict[tuple, str] = {}
-    with path.open("w", encoding="utf-8") as fh:
+    tails = _Memo(lambda k: f'", "track": {_encode_line(k[0])}, "values": {_encode_line(dict(k[1]))}}}\n')
+    with path.open("wb") as fh:
         for start in range(0, len(vectors), _BATCH_LINES):
             pieces: list[str] = []
             for v in vectors[start : start + _BATCH_LINES]:
                 values = v.values
-                key = (v.track, tuple(values.items()), tuple(map(type, values.values())))
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = f'", "track": {_encode_line(v.track)}, "values": {_encode_line(values)}}}\n'
+                tail = tails[v.track, tuple(values.items()), tuple(map(type, values.values()))]
                 pieces += ('{"snippet_id": "', _escape(v.snippet_id), tail)
-            fh.write("".join(pieces))
+            fh.write("".join(pieces).encode())
 
 
 def write_predictions(path: Path, records: list) -> None:
@@ -86,29 +95,20 @@ def write_predictions(path: Path, records: list) -> None:
     repeats once per emotion and an answer across the run, so each distinct
     string is escaped once.
     """
-    frames: dict[tuple, tuple[str, str]] = {}
-    escaped: dict[str, str] = {}
-    # Every character UTF-8 cannot encode sits in a JSON string, where
-    # backslashreplace's lowercase \udxxx is that surrogate's JSON escape.
-    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
+    frames = _Memo(lambda k: (
+        f'", "emotion": "{_escape(k[0])}", "track": "{_escape(k[1])}", "raw_text": "',
+        f'", "parsed": {_encode_line(k[2])}}}\n',
+    ))
+    escaped = _Memo(_escape)
+    with path.open("wb") as fh:
         for start in range(0, len(records), _BATCH_LINES):
             pieces: list[str] = []
             for r in records[start : start + _BATCH_LINES]:
-                key = (r.emotion, r.track, r.parsed, type(r.parsed))
-                frame = frames.get(key)
-                if frame is None:
-                    frame = frames[key] = (
-                        f'", "emotion": "{_escape(r.emotion)}", "track": "{_escape(r.track)}", "raw_text": "',
-                        f'", "parsed": {_encode_line(r.parsed)}}}\n',
-                    )
-                snippet_id = escaped.get(r.snippet_id)
-                if snippet_id is None:
-                    snippet_id = escaped[r.snippet_id] = _escape(r.snippet_id)
-                raw_text = escaped.get(r.raw_text)
-                if raw_text is None:
-                    raw_text = escaped[r.raw_text] = _escape(r.raw_text)
-                pieces += ('{"snippet_id": "', snippet_id, frame[0], raw_text, frame[1])
-            fh.write("".join(pieces))
+                head, tail = frames[r.emotion, r.track, r.parsed, type(r.parsed)]
+                pieces += ('{"snippet_id": "', escaped[r.snippet_id], head, escaped[r.raw_text], tail)
+            # Every character UTF-8 cannot encode sits in a JSON string, where
+            # backslashreplace's lowercase \udxxx is that surrogate's JSON escape.
+            fh.write("".join(pieces).encode("utf-8", "backslashreplace"))
 
 
 def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Path) -> None:
@@ -133,27 +133,25 @@ def export_sft_dataset(instances: list[TaskInstance], track: str, out: str | Pat
     # A line is head + escaped text + tail, fixed by language, emotion, gold and its type
     # (True == 1 prints apart). Two renders whose texts differ in one character differ only
     # there while the template holds {text} once, and JSON escapes one character at a time.
-    frames: dict[tuple[str, str, int, type], tuple[bytes, bytes]] = {}
-    texts: dict[str, bytes] = {}
+    def frame(key: tuple[str, str, int, type]) -> tuple[bytes, bytes]:
+        language, emotion, gold, _ = key
+        first, second = (render_zero_shot(template_id, t, display_name(language), emotion) for t in "\x00\x01")
+        head = os.path.commonprefix((first, second))
+        return (
+            f'{{"instruction": "{_escape(head)}'.encode(),
+            f'{_escape(first[len(head) + 1 :])}", "output": "{_escape(str(gold))}"}}\n'.encode(),
+        )
+
+    # Long prompt pieces that repeat across lines: each is encoded once and the
+    # batch joined as bytes. The other writers' short pieces join faster as str.
+    frames = _Memo(frame)
+    texts = _Memo(lambda s: _escape(s).encode())
     with out.open("wb") as fh:
         for start in range(0, len(instances), _BATCH_LINES):
             pieces: list[bytes] = []
             for inst in instances[start : start + _BATCH_LINES]:
-                key = (inst.language, inst.emotion, inst.gold, type(inst.gold))
-                frame = frames.get(key)
-                if frame is None:
-                    language = display_name(inst.language)
-                    first, second = (render_zero_shot(template_id, t, language, inst.emotion) for t in "\x00\x01")
-                    head = os.path.commonprefix((first, second))
-                    tail = first[len(head) + 1 :]
-                    frame = frames[key] = (
-                        f'{{"instruction": "{_escape(head)}'.encode(),
-                        f'{_escape(tail)}", "output": "{_escape(str(inst.gold))}"}}\n'.encode(),
-                    )
-                text = texts.get(inst.text)
-                if text is None:
-                    text = texts[inst.text] = _escape(inst.text).encode("utf-8")
-                pieces += (frame[0], text, frame[1])
+                head, tail = frames[inst.language, inst.emotion, inst.gold, type(inst.gold)]
+                pieces += (head, texts[inst.text], tail)
             fh.write(b"".join(pieces))
 
     write_json(

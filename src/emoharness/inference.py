@@ -85,8 +85,9 @@ class EndpointConfig:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if not 0 < self.timeout < math.inf:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
+        # The socket layer cannot hold a longer timeout: settimeout raises OverflowError.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout must be positive and at most {threading.TIMEOUT_MAX}, got {self.timeout}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.concurrency_limit < 1:
@@ -116,11 +117,6 @@ class PredictionRecord:
     track: str
     raw_text: str
     parsed: int | None
-
-    @property
-    def label_or_zero(self) -> int:
-        """Effective label: parse failures count as 0 (emotion absent)."""
-        return 0 if self.parsed is None else self.parsed
 
     def as_dict(self) -> dict:
         # The inverse of ``from_dict``, and the oracle that

@@ -517,7 +517,7 @@ def _execute_run(config: ExperimentConfig, mock, staging: Path, stage_seconds: d
     with _stage("score", stage_seconds):
         report = score_predictions(snippets, vectors, records, config.track)
         write_json(staging / "report.json", asdict(report))
-        (staging / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+        (staging / "report.txt").write_bytes((report.format_table() + "\n").encode("utf-8"))
 
     return {**counts, "parse_failures": report.counts["parse_failures"], "attempts": attempts}
 

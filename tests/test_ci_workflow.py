@@ -46,3 +46,13 @@ def test_runtime_step_checks_every_light_module():
     (line,) = [line for line in run.splitlines() if "light modules loaded" in line]
     (imported,) = re.findall(r'-c "import sys, ([^;]+);', line)
     assert sorted(imported.split(", ")) == sorted(f"emoharness.{name}" for name in LIGHT_MODULES)
+
+
+def test_lowest_matrix_python_is_the_supported_floor():
+    # tomllib arrived in 3.11, so the floor is read with a regex on 3.10.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.M)
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+    jobs = workflow["jobs"].values()
+    (versions,) = [job["strategy"]["matrix"]["python-version"] for job in jobs if "strategy" in job]
+    assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor

@@ -586,6 +586,50 @@ class TestInputsRejectedByName:
         assert not (workdir / "out").exists() and not (workdir / "out.partial").exists()
 
 
+def test_every_artifact_is_written_in_binary(workdir, monkeypatch):
+    # Text mode writes "\n" as "\r\n" on Windows, so an artifact's bytes, and
+    # its manifest hash, would depend on the platform.
+    deu = EmotionSet.for_language("deu")
+    write_csv(workdir / "deu.csv", make_snippets(random.Random(4), 6, deu, "A"), deu)
+    base = {"track": "A", "language": "eng", "strategy": "zero_shot", "seed": 3, "dataset": {"test": "test.csv"}}
+    zero_shot = write_yaml(workdir / "zero_shot.yaml", {**base, "output_dir": "zs", "mock": "keyword"})
+    failing = write_yaml(workdir / "failing.yaml", {**base, "output_dir": "failed", "mock": "keyword"})
+    ebridge = write_yaml(workdir / "ebridge.yaml", {
+        **base, "language": "deu", "strategy": "export_ebridge", "output_dir": "eb",
+        "dataset": {"train": "deu.csv", "english_train": "train.csv"},
+    })
+    scored = workdir / "scored.json"
+
+    # Every pathlib write, write_text and write_bytes included, goes through
+    # Path.open, whichever way the running Python's pathlib reaches io.open.
+    opened = []
+    path_open = Path.open
+
+    def recording_open(self, mode="r", *args, **kwargs):
+        opened.append((self.name, mode))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    assert main(["run", str(zero_shot)]) == 0
+    preds = workdir / "zs" / "predictions.jsonl"
+    assert main(["score", str(workdir / "test.csv"), str(preds), "--language", "eng", "--json-out", str(scored)]) == 0
+    assert main(["run", str(ebridge)]) == 0
+
+    def no_aggregate(records, emotion_set):
+        raise ValueError("aggregate refused")
+
+    monkeypatch.setattr("emoharness.runner.aggregate", no_aggregate)
+    assert main(["run", str(failing)]) == 1
+
+    written = [(name, mode) for name, mode in opened if set(mode) & set("wax+")]
+    assert {name for name, _ in written} == {
+        "predictions.jsonl", "aggregated.jsonl", "report.json", "report.txt", "manifest.json", "scored.json",
+        "stage1_eng.jsonl", "stage1_eng.meta.json", "stage2_deu.jsonl", "stage2_deu.meta.json", "plan.json",
+        "error.json",
+    }
+    assert [(name, mode) for name, mode in written if "b" not in mode] == []
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -245,9 +245,12 @@ class TestWritePredictions:
         expected = "".join(_encode_line(r.as_dict()) + "\n" for r in records)
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_lone_surrogate_is_written_as_its_json_escape(self, tmp_path):
+    @pytest.mark.parametrize("field", ["raw_text", "snippet_id", "emotion"])
+    def test_lone_surrogate_is_written_as_its_json_escape(self, tmp_path, field):
         # An endpoint answer cut off mid-emoji; UTF-8 cannot encode it, JSON can escape it.
-        record = PredictionRecord("s1", "joy", "A", "bad \ud800 \udfff", None)
+        # A record built by hand may hold one in any string field.
+        fields = {"snippet_id": "s1", "emotion": "joy", "track": "A", "raw_text": "bad", "parsed": None}
+        record = PredictionRecord(**{**fields, field: "bad \ud800 \udfff"})
         out = tmp_path / "p.jsonl"
         write_predictions(out, [record])
         line = out.read_text(encoding="utf-8")

@@ -883,11 +883,17 @@ class TestEndpointConfig:
             {"base_url": "http://a\x00b:80/v1"},
             {"base_url": "http://host/v1\t"},
             {"base_url": "http://host/v1\x7f"},
+            {"timeout": 1e10},  # past threading.TIMEOUT_MAX, where socket.settimeout overflows
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             EndpointConfig(**kwargs)
+
+    def test_longest_timeout_the_socket_layer_holds_is_accepted(self):
+        assert EndpointConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
+        with pytest.raises(ConfigError, match=r"^timeout must be positive and at most "):
+            EndpointConfig(timeout=threading.TIMEOUT_MAX * 2)
 
     @pytest.mark.parametrize(
         "url",
@@ -929,7 +935,3 @@ class TestPredictionRecord:
             loaded = PredictionRecord.from_dict(json.loads(json.dumps(record.as_dict())))
             assert loaded.parsed is None
             assert loaded.raw_text == raw_text
-
-    def test_label_or_zero(self):
-        assert PredictionRecord("s", "joy", "A", "x", None).label_or_zero == 0
-        assert PredictionRecord("s", "joy", "B", "3", 3).label_or_zero == 3
