@@ -6,11 +6,10 @@ Ranking training snippets with Okapi BM25
 Few-shot prompts need example snippets that resemble the query text.
 The retrieval layer builds an inverted index over the training split and
 ranks documents with BM25 (k1=1.5, b=0.75): the index, built in a few
-whole-corpus numpy passes, stores each posting's contribution, computed with
-exactly the arithmetic of the single-document `score`. A query is tokenized
-once, its terms' postings are concatenated in query order, and one
-`bincount` sums each document's contributions in that order, so `top_k`
-and `score` agree bit for bit. Terms whose raw IDF would be
+whole-corpus numpy passes, stores each posting's contribution
+idf * tf * (k1 + 1) / (tf + norm). A query is tokenized once, its terms'
+postings are concatenated in query order, and one `bincount` sums each
+document's contributions in that order. Terms whose raw IDF would be
 zero or negative are floored to a fraction of the mean positive IDF so
 very common words still contribute a little instead of flipping sign.
 """
@@ -24,7 +23,6 @@ from emoharness import (
     RetrievalConfig,
     build_index,
     load_dataset,
-    score,
     tokenize,
     top_k,
 )
@@ -48,9 +46,9 @@ for rank, (doc_id, value) in enumerate(top_k(index, query, RetrievalConfig(k=3))
     print(f"{rank:<5} {doc_id:<6} {value:>8.4f}  {text}")
 
 # Scores are additive over query terms, so a one-word query isolates the
-# contribution of that word.
+# contribution of that word; k equal to the corpus size scores every document.
 print("\nper-document score for the single term 'sadness':")
+scores = dict(top_k(index, "sadness", RetrievalConfig(k=index.doc_count)))
 for doc_id, _ in corpus:
-    value = score(index, "sadness", doc_id)
-    if value:
-        print(f"  {doc_id}: {value:.4f}")
+    if scores[doc_id]:
+        print(f"  {doc_id}: {scores[doc_id]:.4f}")

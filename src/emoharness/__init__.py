@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "mocks": ("AlwaysZeroMock", "GoldLookupMock", "KeywordMock", "build_mock"),
     "prompting": ("frame", "render_few_shot", "render_zero_shot"),
-    "retrieval": ("Bm25Params", "RetrievalConfig", "build_index", "score", "tokenize", "top_k"),
+    "retrieval": ("Bm25Params", "RetrievalConfig", "build_index", "tokenize", "top_k"),
     "runner": ("STRATEGIES", "DatasetPaths", "load_config", "run", "validate_config"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

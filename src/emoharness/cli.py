@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -154,8 +156,24 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # SIGTERM would end Python without cleanup; raising lets a run record its
+    # quarantine as for Ctrl-C. Only the main thread may set a handler.
+    terminated = []
+
+    def on_sigterm(signum, frame):
+        terminated.append(signum)
+        raise KeyboardInterrupt
+
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, on_sigterm) if on_main else None
     try:
         return args.func(args)
     except HarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print(f"error: {'terminated' if terminated else 'interrupted'}", file=sys.stderr)
+        return 143 if terminated else 130
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)

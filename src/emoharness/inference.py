@@ -42,6 +42,8 @@ _WINDOW_PER_WORKER = 4
 # One keep-alive ``_Connection`` per worker thread: an ``HTTPConnection`` is
 # not safe to share between threads.
 _connections = threading.local()
+# A pool worker's ``unwinding`` event, set once its ``complete_all`` call raises.
+_worker = threading.local()
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,8 @@ class CompletionClient:
         ``4 * concurrency_limit`` requests drawn and not yet finished; the
         default transport keeps one keep-alive connection per worker. If a
         request fails, the first failure in input order is raised and the
-        requests still queued are cancelled. A ``TransportError``, or its
+        requests still queued are cancelled; one in flight is tried no more
+        once its attempt fails. A ``TransportError``, or its
         subclass ``ProtocolError``, is raised again as the same class with
         the same ``status``, its message prefixed
         ``snippet '<id>', emotion <emotion>: `` to name the request.
@@ -319,7 +322,10 @@ class CompletionClient:
                     answers[digest] = completion.raw_text
             results.append(completion)
 
-        with ThreadPoolExecutor(max_workers=self.config.concurrency_limit) as pool:
+        unwinding = threading.Event()
+        with ThreadPoolExecutor(
+            self.config.concurrency_limit, initializer=setattr, initargs=(_worker, "unwinding", unwinding)
+        ) as pool:
             try:
                 for request in requests_:
                     digest = None
@@ -336,6 +342,7 @@ class CompletionClient:
                 while pending:
                     collect()
             except BaseException:
+                unwinding.set()
                 pool.shutdown(cancel_futures=True)
                 raise
         return results
@@ -359,6 +366,7 @@ class CompletionClient:
             headers["Authorization"] = f"Bearer {api_key}"
 
         attempts_allowed = self.config.max_retries + 1
+        unwinding = getattr(_worker, "unwinding", threading.Event())  # never set off the pool
         for attempt in range(1, attempts_allowed + 1):
             try:
                 status, body = self.transport(url, payload, headers, self.config.timeout)
@@ -366,7 +374,8 @@ class CompletionClient:
                     raise TransportError(f"endpoint returned HTTP {status}", status=status)
                 return self._extract_content(body), attempt
             except TransportError as exc:  # a malformed 200 body (status None) is retried like a 5xx
-                if exc.status is not None and exc.status != 429 and not 500 <= exc.status <= 599:
+                # Once the caller is raising, no further attempt and no backoff sleep.
+                if unwinding.is_set() or exc.status not in (None, 429) and not 500 <= exc.status <= 599:
                     raise
                 if attempt == attempts_allowed:
                     message = f"retries exhausted after {attempts_allowed} attempts: {exc}"
@@ -381,6 +390,8 @@ class CompletionClient:
                     delay,
                 )
                 self.sleep(delay)
+                if unwinding.is_set():
+                    raise
 
     @staticmethod
     def _extract_content(body: str) -> str:

@@ -2,25 +2,24 @@
 
 ``build_index`` stores an inverted index in flat CSR form: one array of
 document positions holds every term's postings back to back (ascending
-within a term), parallel arrays hold each posting's token count
-(``posting_freqs``) and its BM25 contribution ``idf * tf * (k1 + 1) /
-(tf + norm)`` (``posting_weights``), and ``postings`` maps each term to its
-``(start, end)`` slice. Each weight is computed with the IEEE operations, in
-the order, that ``score`` uses for one query token in one document, so it is
-the very float ``score`` adds. The build strips each distinct
-whitespace-split part once and then works in a few whole-corpus numpy
-passes: one term id per part, document lengths and document frequencies by
-``bincount``, and the (term, document) pairs with their counts by one
-``unique`` over ``term * doc_count + doc`` keys, which sorts them term-major
-with documents ascending.
+within a term), a parallel array holds each posting's BM25 contribution
+(``posting_weights``), and ``postings`` maps each term to its
+``(start, end)`` slice. Each weight is ``idf * tf * (k1 + 1) / (tf + norm)``
+evaluated left to right, with ``norm = k1 * (1 - b + b * len / avgdl)``;
+``tests/test_retrieval.py::TestIndexLayout`` pins every weight to that
+float. The build strips each distinct whitespace-split part once and then
+works in a few whole-corpus numpy passes: one term id per part, document
+lengths and document frequencies by ``bincount``, and the (term, document)
+pairs with their counts by one ``unique`` over ``term * doc_count + doc``
+keys, which sorts them term-major with documents ascending.
 
 ``top_k`` scores term at a time, as Lucene and Pyserini do: it tokenizes
 the query once, concatenates the postings of its tokens in query order
 (repeats included) and sums their weights per document with one
-``bincount``, which adds each document's weights in input order. Each
-document's sum is then ``score``'s sum, term for term and in the same
-order, so the two agree bit for bit, and a stable sort keeps tied
-documents in corpus order.
+``bincount``, which adds each document's weights in input order. A
+document's score is therefore the sum of its weights for the query's
+tokens taken in query order, and a stable sort keeps tied documents in
+corpus order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -82,7 +80,12 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(eq=False)
 class Bm25Index:
-    """Immutable term statistics and postings for a fixed document collection."""
+    """Immutable term statistics and postings for a fixed document collection.
+
+    ``posting_weights`` holds each posting's BM25 contribution, ``idf * tf *
+    (k1 + 1) / (tf + norm)`` with ``norm = k1 * (1 - b + b * len / avgdl)``,
+    evaluated left to right, as ``TestIndexLayout`` pins it.
+    """
 
     params: Bm25Params
     doc_ids: tuple[str, ...]
@@ -91,27 +94,7 @@ class Bm25Index:
     idf: dict[str, float]
     postings: dict[str, tuple[int, int]]  # term -> slice of the posting_* arrays
     posting_docs: np.ndarray  # document positions, ascending within each term
-    posting_freqs: np.ndarray  # the term's token count in that document
-    # float64 BM25 contribution of each posting, idf * tf * (k1 + 1) / (tf + norm)
-    # with norm = k1 * (1 - b + b * len / avgdl): the operations, in the order,
-    # that ``score`` performs per token, so a sum of these equals its total.
-    posting_weights: np.ndarray
-
-    def __post_init__(self):
-        self._positions = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
-
-    @cached_property
-    def term_frequencies(self) -> tuple[dict[str, int], ...]:
-        """Each document's token counts, rebuilt from the postings on first read."""
-        frequencies: tuple[dict[str, int], ...] = tuple({} for _ in range(self.doc_count))
-        docs, freqs = self.posting_docs.tolist(), self.posting_freqs.tolist()
-        for term, (start, end) in self.postings.items():
-            for position in range(start, end):
-                frequencies[docs[position]][term] = freqs[position]
-        return frequencies
-
-    def position(self, doc_id: str) -> int:
-        return self._positions[doc_id]  # KeyError for unknown ids
+    posting_weights: np.ndarray  # float64, parallel to posting_docs
 
     def describe(self) -> str:
         """Plain-text statistics dump for debugging."""
@@ -184,12 +167,10 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
     ends = np.cumsum(document_frequency).tolist()
     postings = {term: (end - n, end) for term, n, end in zip(term_ids, document_frequency, ends)}
     posting_docs = posting_docs.astype(np.intp, copy=False)
-    posting_freqs = freqs.astype(np.intp, copy=False)
     k1, b = params.k1, params.b
     norms = k1 * (1.0 - b + b * doc_lengths / avgdl)
     idfs = np.repeat(np.fromiter(idf.values(), dtype=np.float64, count=len(idf)), document_frequency)
-    tf = posting_freqs.astype(np.float64)
-    # ``score``'s ``idf * freq * (k1 + 1.0) / (freq + norm)``, left to right.
+    tf = freqs.astype(np.float64)
     posting_weights = idfs * tf * (k1 + 1.0) / (tf + norms[posting_docs])
 
     return Bm25Index(
@@ -200,29 +181,8 @@ def build_index(corpus: list[tuple[str, str]], params: Bm25Params = Bm25Params()
         idf=idf,
         postings=postings,
         posting_docs=posting_docs,
-        posting_freqs=posting_freqs,
         posting_weights=posting_weights,
     )
-
-
-def score(index: Bm25Index, query: str, doc_id: str) -> float:
-    """Okapi BM25 score of one document against a query.
-
-    Additive over query tokens (a repeated token counts twice); tokens
-    absent from the document or the vocabulary contribute 0. This is the
-    single-document reference that ``top_k`` reproduces exactly.
-    """
-    position = index.position(doc_id)
-    tf = index.term_frequencies[position]
-    params = index.params
-    norm = params.k1 * (1.0 - params.b + params.b * sum(tf.values()) / index.avgdl)
-    total = 0.0
-    for token in tokenize(query):
-        freq = tf.get(token)
-        if not freq:
-            continue
-        total += index.idf[token] * freq * (params.k1 + 1.0) / (freq + norm)
-    return total
 
 
 def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[str, float]]:
@@ -230,12 +190,10 @@ def top_k(index: Bm25Index, query: str, config: RetrievalConfig) -> list[tuple[s
 
     Tokenizes the query once, concatenates the postings of its tokens in
     order (a repeated token's postings come again) and sums them per
-    document with one ``bincount``; documents sharing no term keep 0. Each
-    weight is the float ``score`` computes for that token and document, and
-    ``bincount`` adds a document's weights in input order, which is
-    ``score``'s order, so scores equal it exactly. Only the documents scoring
-    at least the k-th largest score are sorted; a stable sort on their
-    negated scores keeps equal scores in corpus order.
+    document with one ``bincount``, which adds a document's weights in input
+    order; documents sharing no term keep 0. Only the documents scoring at
+    least the k-th largest score are sorted; a stable sort on their negated
+    scores keeps equal scores in corpus order.
     """
     if config.k > index.doc_count:
         raise ValueError(f"k={config.k} exceeds indexed document count {index.doc_count}")

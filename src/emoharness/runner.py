@@ -339,12 +339,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
 @contextmanager
 def _stage(name: str, seconds: dict[str, float]):
     """Run one pipeline stage, record its monotonic duration in ``seconds``
-    and wrap any failure in a :class:`RunStageError` naming the stage."""
+    and wrap any failure in a :class:`RunStageError` naming the stage. An
+    interrupt such as ``KeyboardInterrupt`` passes through as itself, with
+    the stage in its ``stage`` attribute."""
     start = time.monotonic()
     try:
         yield
     except Exception as exc:
         raise RunStageError(name, exc) from exc
+    except BaseException as exc:
+        exc.stage = name
+        raise
     seconds[name] = time.monotonic() - start
 
 
@@ -413,20 +418,24 @@ def _run(config: ExperimentConfig, mock) -> RunManifest:
             manifest = RunManifest(config=config.snapshot(), artifacts=artifacts, counts=counts, timing=timing)
             write_json(staging / "manifest.json", asdict(manifest))
             os.replace(staging, out_dir)
-    except RunStageError as exc:
+    except BaseException as exc:
         # A failed publish leaves the manifest behind; without it the
         # quarantined directory cannot pass for a finished run.
         (staging / "manifest.json").unlink(missing_ok=True)
         error_path = staging / "error.json"
+        # An interrupt (Ctrl-C, or SIGTERM under the CLI) is not wrapped; it
+        # carries the stage it cut short, and None between stages.
+        stage = getattr(exc, "stage", None)
+        cause = exc.__cause__ if isinstance(exc, RunStageError) else exc
         # Best effort: a disk that refused the stage may refuse this too, and
         # the stage's error is the one to report.
         try:
             write_json(
                 error_path,
                 {
-                    "stage": exc.stage,
-                    "error": type(exc.__cause__).__name__,
-                    "message": str(exc),
+                    "stage": stage,
+                    "error": type(cause).__name__,
+                    "message": str(exc) if cause is not exc else f"[stage={stage}] {exc!r}",
                     "time": datetime.now(timezone.utc).isoformat(),
                 },
             )

@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -654,3 +655,47 @@ class TestModuleEntryPoint:
         assert done.returncode == 1
         assert done.stderr.startswith("error: absent.yaml: cannot read config: ")
         assert done.stderr.count("\n") == 1, done.stderr
+
+
+#: Runs ``cli.main(["run", <config>])`` with a keyword mock that sends the
+#: named signal to its own process on the seventh request.
+SIGNALLING_DRIVER = """
+import os, signal, sys
+import emoharness.runner
+from emoharness.cli import main
+from emoharness.mocks import KeywordMock
+
+class Signalling(KeywordMock):
+    calls = 0
+
+    def respond(self, prompt):
+        self.calls += 1
+        if self.calls == 7:
+            os.kill(os.getpid(), signal.%s)
+        return super().respond(prompt)
+
+emoharness.runner.build_mock = lambda mock_id: Signalling()
+sys.exit(main(["run", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("signal_name, code", [("SIGINT", 130), ("SIGTERM", 143)])
+def test_signal_mid_run_exits_with_one_error_line_and_a_quarantine(workdir, signal_name, code):
+    cfg = run_config(workdir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", SIGNALLING_DRIVER % signal_name, str(cfg)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert len([line for line in done.stderr.splitlines() if line.startswith("error:")]) == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    error = json.loads((workdir / "out.partial" / "error.json").read_text(encoding="utf-8"))
+    assert (error["stage"], error["error"]) == ("infer", "KeyboardInterrupt")
+    assert not (workdir / "out").exists()
+
+
+def test_main_restores_the_sigterm_handler(workdir):
+    previous = signal.getsignal(signal.SIGTERM)
+    assert main(["run", str(run_config(workdir))]) == 0
+    assert signal.getsignal(signal.SIGTERM) is previous

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
@@ -560,6 +561,63 @@ class TestCompletionClient:
         assert str(excinfo.value) == f"snippet 's3', emotion fear: {cause}"
         if error is TransportError:
             assert excinfo.value.status == cause.status == 404
+
+    #: How long the slow transport holds each request.
+    HOLD = 0.8
+
+    def unwinding_run(self, first_answer, interrupt_after=None):
+        """Six requests at concurrency 2 and two retries through a transport
+        that holds each request ``HOLD`` seconds and answers 503, the first
+        request after half that with ``first_answer``. Optionally sends the
+        main thread SIGINT. Returns the raised exception, the transport's
+        calls and the seconds until ``complete_all`` raised."""
+        calls = []
+        lock = threading.Lock()
+
+        def transport(url, payload, headers, timeout):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                calls.append(prompt)
+            if prompt == "prompt #0" and first_answer is not None:
+                time.sleep(self.HOLD / 2)
+                return first_answer
+            time.sleep(self.HOLD)
+            return 503, "busy"
+
+        client = CompletionClient(EndpointConfig(concurrency_limit=2, max_retries=2), transport=transport)
+        requests = [CompletionRequest(f"s{i}", "joy", f"prompt #{i}") for i in range(6)]
+        timer = None
+        if interrupt_after is not None:
+            main = threading.main_thread().ident
+            timer = threading.Timer(interrupt_after, signal.pthread_kill, (main, signal.SIGINT))
+        started = time.monotonic()
+        try:
+            if timer is not None:
+                timer.start()
+            client.complete_all(requests)
+        except BaseException as exc:
+            return exc, calls, time.monotonic() - started
+        finally:
+            if timer is not None:
+                timer.cancel()
+                timer.join()
+        pytest.fail("complete_all returned")
+
+    def test_interrupt_waits_for_no_retry(self):
+        exc, calls, seconds = self.unwinding_run(None, interrupt_after=self.HOLD / 4)
+        assert type(exc) is KeyboardInterrupt
+        assert sorted(calls) == ["prompt #0", "prompt #1"]
+        assert seconds < 2 * self.HOLD
+
+    def test_failure_waits_for_no_retry_of_the_others(self):
+        exc, calls, seconds = self.unwinding_run((404, "missing"))
+        assert type(exc) is TransportError and exc.status == 404
+        assert str(exc) == "snippet 's0', emotion joy: endpoint returned HTTP 404"
+        # The worker freed by the 404 may take the next queued request before
+        # the caller starts to unwind; that one too is sent once.
+        assert len(calls) == len(set(calls))
+        assert {"prompt #0", "prompt #1"} <= set(calls) <= {"prompt #0", "prompt #1", "prompt #2"}
+        assert seconds < 2 * self.HOLD
 
     def test_complete_all_empty(self):
         for mock in (None, IndexMock()):

@@ -2,14 +2,29 @@
 
 import math
 import random
-from collections import Counter
 
 import pytest
 
-from emoharness import Bm25Params, RetrievalConfig, build_index, score, tokenize, top_k
+from emoharness import Bm25Params, RetrievalConfig, build_index, tokenize, top_k
 from oracles import ref_bm25_ranking, ref_bm25_scores, ref_tokenize
 
 P = Bm25Params()
+
+
+def all_scores(index, query):
+    """Every document's ``top_k`` score, by document id."""
+    return dict(top_k(index, query, RetrievalConfig(k=index.doc_count)))
+
+
+def posting_sums(index, query):
+    """Every document's sum of its posting weights for the query's
+    ``ref_tokenize`` tokens, added in query order, in corpus order."""
+    sums = [0.0] * index.doc_count
+    for token in ref_tokenize(query):
+        start, end = index.postings.get(token, (0, 0))
+        for doc, weight in zip(index.posting_docs[start:end].tolist(), index.posting_weights[start:end].tolist()):
+            sums[doc] += weight
+    return sums
 
 
 class TestTokenize:
@@ -88,8 +103,6 @@ class TestBuildIndex:
         # and every score is 0; ranking still works via the position tie rule.
         index = build_index([("d1", "red fish"), ("d2", "blue bird")], P)
         assert all(v == 0.0 for v in index.idf.values())
-        assert score(index, "red", "d1") == 0.0
-        assert score(index, "red", "d2") == 0.0
         assert top_k(index, "red", RetrievalConfig(k=2)) == [("d1", 0.0), ("d2", 0.0)]
 
     def test_document_frequency_bounds(self):
@@ -116,14 +129,11 @@ class TestBuildIndex:
 
 
 class TestScore:
+    """BM25's properties, on every document's score from ``top_k``."""
+
     def test_no_shared_terms_scores_zero(self):
         index = build_index([("d1", "red fish"), ("d2", "blue bird")], P)
-        assert score(index, "elephant piano", "d1") == 0.0
-
-    def test_unknown_doc_id(self):
-        index = build_index([("d1", "red fish")], P)
-        with pytest.raises(KeyError):
-            score(index, "red", "nope")
+        assert all_scores(index, "elephant piano")["d1"] == 0.0
 
     def test_five_doc_corpus_matches_brute_force(self):
         corpus = [
@@ -138,28 +148,30 @@ class TestScore:
         expected = ref_bm25_scores(
             [tokenize(text) for _, text in corpus], tokenize(query), P.k1, P.b, P.idf_floor_epsilon
         )
+        got = all_scores(index, query)
         for (doc_id, _), want in zip(corpus, expected):
-            assert score(index, query, doc_id) == pytest.approx(want, abs=1e-9)
+            assert got[doc_id] == pytest.approx(want, abs=1e-9)
 
     def test_additive_over_query_terms(self):
         rng = random.Random(5)
         corpus = [(f"d{i}", " ".join(rng.choice("uvwxyz") for _ in range(8))) for i in range(10)]
         index = build_index(corpus, P)
         q1, q2 = "u v w", "x y"
+        total, first, second = (all_scores(index, q) for q in (f"{q1} {q2}", q1, q2))
         for doc_id, _ in corpus:
-            total = score(index, f"{q1} {q2}", doc_id)
-            assert total == pytest.approx(score(index, q1, doc_id) + score(index, q2, doc_id), abs=1e-12)
+            assert total[doc_id] == pytest.approx(first[doc_id] + second[doc_id], abs=1e-12)
 
     def test_repeated_query_term_counts_twice(self):
         index = build_index([("d1", "apple pie"), ("d2", "plain bread"), ("d3", "apple tart")], P)
-        assert score(index, "apple apple", "d1") == pytest.approx(2 * score(index, "apple", "d1"), abs=1e-12)
+        assert all_scores(index, "apple apple")["d1"] == pytest.approx(2 * all_scores(index, "apple")["d1"], abs=1e-12)
 
     def test_b_zero_removes_length_effect(self):
         params = Bm25Params(b=0.0)
         index = build_index(
             [("short", "apple pie"), ("long", "apple " + "filler " * 20)], params
         )
-        assert score(index, "apple", "short") == pytest.approx(score(index, "apple", "long"), abs=1e-12)
+        scores = all_scores(index, "apple")
+        assert scores["short"] == pytest.approx(scores["long"], abs=1e-12)
 
 
 class TestTopK:
@@ -219,7 +231,7 @@ class TestTopK:
         assert [doc_id for doc_id, _ in full] == [
             corpus[i][0] for i in ref_bm25_ranking(scores, index.doc_count)
         ]
-        assert all(got == score(index, query, doc_id) for doc_id, got in full)
+        assert dict(full) == dict(zip(index.doc_ids, posting_sums(index, query)))
 
     def test_describe_mentions_core_statistics(self):
         index = build_index([("d1", "red fish"), ("d2", "blue bird")], P)
@@ -235,9 +247,9 @@ class TestTopKPartition:
     CORPUS = [(f"d{i}", text) for i, text in enumerate(["red fish", "red", "blue red", "red"] * 3 + ["green"])]
 
     def full_sort(self, index, query, k):
-        scores = {doc_id: score(index, query, doc_id) for doc_id, _ in self.CORPUS}
-        ranked = sorted(scores, key=lambda d: (-scores[d], index.position(d)))
-        return [(doc_id, scores[doc_id]) for doc_id in ranked[:k]]
+        sums = posting_sums(index, query)
+        ranked = sorted(range(len(self.CORPUS)), key=lambda i: (-sums[i], i))
+        return [(self.CORPUS[i][0], sums[i]) for i in ranked[:k]]
 
     @pytest.mark.parametrize("query", ["red", "red fish", "purple"], ids=["ties", "mixed", "all-zero"])
     def test_every_k_equals_the_full_stable_sort(self, query):
@@ -279,8 +291,9 @@ def zipf_corpus(rng: random.Random, n_docs: int) -> list[tuple[str, str]]:
 
 
 class TestTopKEqualsScore:
-    """``top_k`` sums precomputed posting weights; ``score`` recomputes each
-    term's contribution. Both must give the same float for every document."""
+    """``top_k`` sums posting weights with one ``bincount``; for every
+    document it must give the float of adding them one by one in query
+    order, which ``TestIndexLayout`` pins to the BM25 formula."""
 
     CORPUS = zipf_corpus(random.Random(11), 300)
     QUERIES = [
@@ -300,15 +313,11 @@ class TestTopKEqualsScore:
             full = top_k(index, query, RetrievalConfig(k=index.doc_count))
             got = dict(full)
             assert len(got) == index.doc_count
-            want = {doc_id: score(index, query, doc_id) for doc_id, _ in self.CORPUS}
-            assert got == want
+            sums = posting_sums(index, query)
+            assert got == {doc_id: sums[i] for i, (doc_id, _) in enumerate(self.CORPUS)}
             # Descending, ties in corpus order.
-            assert [doc_id for doc_id, _ in full] == sorted(want, key=lambda d: (-want[d], index.position(d)))
-
-    def test_term_frequencies_match_tokenize(self):
-        index = build_index(self.CORPUS, P)
-        for (_, text), tf in zip(self.CORPUS, index.term_frequencies):
-            assert tf == Counter(tokenize(text))
+            ranked = sorted(range(len(sums)), key=lambda i: (-sums[i], i))
+            assert [doc_id for doc_id, _ in full] == [self.CORPUS[i][0] for i in ranked]
 
     def test_corpus_has_the_cases_it_is_built_for(self):
         texts = [text for _, text in self.CORPUS]
@@ -352,7 +361,7 @@ class TestIndexLayout:
         floor = params.idf_floor_epsilon * (sum(positive) / len(positive))
         assert list(index.idf.values()) == [v if v > 0 else floor for v in raw]
 
-        # Each weight is the float ``score`` computes for its term and document.
+        # Each weight is idf * tf * (k1 + 1) / (tf + norm), left to right.
         avgdl = sum(map(len, documents)) / n
         assert index.avgdl == avgdl
         for term in terms:

@@ -693,6 +693,31 @@ class TestRunPipeline:
         assert not config.output_dir.exists()
         assert (tmp_path / "out.partial" / "error.json").exists()
 
+    def test_interrupt_mid_inference_quarantines_and_propagates(self, tmp_path, eng_test_csv):
+        csv_path, _ = eng_test_csv
+        interrupt = KeyboardInterrupt()
+
+        class Interrupted:
+            def __init__(self):
+                self.calls = 0
+
+            def respond(self, prompt):
+                self.calls += 1
+                if self.calls == 7:
+                    raise interrupt
+                return "0"
+
+        config = base_config(tmp_path, csv_path)
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            run(config, mock=Interrupted())
+        assert excinfo.value is interrupt
+        assert not config.output_dir.exists()
+        partial = tmp_path / "out.partial"
+        error = json.loads((partial / "error.json").read_text(encoding="utf-8"))
+        assert (error["stage"], error["error"]) == ("infer", "KeyboardInterrupt")
+        assert error["message"] == "[stage=infer] KeyboardInterrupt()"
+        assert sorted(p.name for p in partial.iterdir()) == ["error.json"]
+
     def test_publish_failure_quarantines(self, tmp_path, eng_test_csv):
         csv_path, _ = eng_test_csv
         config = base_config(tmp_path, csv_path)
