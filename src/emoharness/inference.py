@@ -17,7 +17,7 @@ import threading
 import time
 import urllib.parse
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -42,8 +42,6 @@ _WINDOW_PER_WORKER = 4
 # One keep-alive ``_Connection`` per worker thread: an ``HTTPConnection`` is
 # not safe to share between threads.
 _connections = threading.local()
-# A pool worker's ``unwinding`` event, set once its ``complete_all`` call raises.
-_worker = threading.local()
 
 
 @dataclass(frozen=True)
@@ -259,13 +257,14 @@ class CompletionClient:
     sleep: object = time.sleep
     rng: random.Random = field(default_factory=random.Random)
 
-    def complete(self, request: CompletionRequest) -> RawCompletion:
+    def complete(self, request: CompletionRequest, stopped: Callable[[], bool] = lambda: False) -> RawCompletion:
+        """Once ``stopped()`` is true, an endpoint request makes no more attempts and raises ``TransportError``."""
         start = time.monotonic()
         if self.mock is not None:
             raw_text = self.mock.respond(request.prompt)
             attempts = 1
         else:
-            raw_text, attempts = self._complete_http(request.prompt)
+            raw_text, attempts = self._complete_http(request.prompt, stopped)
         return RawCompletion(request.snippet_id, request.emotion, raw_text, time.monotonic() - start, attempts)
 
     def complete_all(self, requests_: Iterable[CompletionRequest]) -> list[RawCompletion]:
@@ -278,13 +277,13 @@ class CompletionClient:
         dispatch cost and no parallelism. Endpoint requests run on up to
         ``config.concurrency_limit`` worker threads, with at most
         ``4 * concurrency_limit`` requests drawn and not yet finished; the
-        default transport keeps one keep-alive connection per worker. If a
-        request fails, the first failure in input order is raised and the
-        requests still queued are cancelled; one in flight is tried no more
-        once its attempt fails. A ``TransportError``, or its
-        subclass ``ProtocolError``, is raised again as the same class with
-        the same ``status``, its message prefixed
-        ``snippet '<id>', emotion <emotion>: `` to name the request.
+        default transport keeps one keep-alive connection per worker. Once a
+        request fails for good, no later request in input order makes an
+        attempt, neither a first send nor a retry, and earlier ones finish;
+        once this call raises, none makes one. The first failure in input
+        order is raised: a ``TransportError``, or its subclass
+        ``ProtocolError``, again as the same class with the same ``status``,
+        its message prefixed ``snippet '<id>', emotion <emotion>: ``.
 
         At temperature 0 each distinct prompt is sent once. A later request
         with the same prompt gets the first answer's ``raw_text`` with its
@@ -307,34 +306,38 @@ class CompletionClient:
         # prompt's first request is collected, or has raised, before any repeat.
         pending: deque[tuple[bytes | None, CompletionRequest, Future | None]] = deque()
         results: list[RawCompletion] = []
+        # Appended to only, so no lock: just past each request that failed for
+        # good, and 0 once this call raises. Requests at or past the least stop.
+        stops = [math.inf]
+
+        def send(position: int, request: CompletionRequest) -> RawCompletion:
+            try:
+                return self.complete(request, stopped=lambda: position >= min(stops))
+            except TransportError as exc:
+                stops.append(position + 1)
+                message = f"snippet {request.snippet_id!r}, emotion {request.emotion}: {exc}"
+                raise type(exc)(message, status=exc.status) from exc
 
         def collect() -> None:
             digest, request, future = pending.popleft()
             if future is None:
                 completion = RawCompletion(request.snippet_id, request.emotion, answers[digest], 0.0, 0)
             else:
-                try:
-                    completion = future.result()
-                except TransportError as exc:
-                    message = f"snippet {request.snippet_id!r}, emotion {request.emotion}: {exc}"
-                    raise type(exc)(message, status=exc.status) from exc
+                completion = future.result()
                 if digest is not None:
                     answers[digest] = completion.raw_text
             results.append(completion)
 
-        unwinding = threading.Event()
-        with ThreadPoolExecutor(
-            self.config.concurrency_limit, initializer=setattr, initargs=(_worker, "unwinding", unwinding)
-        ) as pool:
+        with ThreadPoolExecutor(self.config.concurrency_limit) as pool:
             try:
-                for request in requests_:
+                for position, request in enumerate(requests_):
                     digest = None
                     if dedup:
                         digest = hashlib.sha256(request.prompt.encode("utf-8", "surrogatepass")).digest()
                     if digest in answers:
                         pending.append((digest, request, None))
                     else:
-                        pending.append((digest, request, pool.submit(self.complete, request)))
+                        pending.append((digest, request, pool.submit(send, position, request)))
                         if digest is not None:
                             answers[digest] = None
                     if len(pending) == window:
@@ -342,12 +345,11 @@ class CompletionClient:
                 while pending:
                     collect()
             except BaseException:
-                unwinding.set()
-                pool.shutdown(cancel_futures=True)
+                stops.append(0)
                 raise
         return results
 
-    def _complete_http(self, prompt: str) -> tuple[str, int]:
+    def _complete_http(self, prompt: str, stopped: Callable[[], bool]) -> tuple[str, int]:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.config.model_name,
@@ -366,16 +368,16 @@ class CompletionClient:
             headers["Authorization"] = f"Bearer {api_key}"
 
         attempts_allowed = self.config.max_retries + 1
-        unwinding = getattr(_worker, "unwinding", threading.Event())  # never set off the pool
         for attempt in range(1, attempts_allowed + 1):
+            if stopped():
+                raise TransportError(f"stopped before attempt {attempt} of {attempts_allowed}")
             try:
                 status, body = self.transport(url, payload, headers, self.config.timeout)
                 if status != 200:
                     raise TransportError(f"endpoint returned HTTP {status}", status=status)
                 return self._extract_content(body), attempt
             except TransportError as exc:  # a malformed 200 body (status None) is retried like a 5xx
-                # Once the caller is raising, no further attempt and no backoff sleep.
-                if unwinding.is_set() or exc.status not in (None, 429) and not 500 <= exc.status <= 599:
+                if stopped() or exc.status not in (None, 429) and not 500 <= exc.status <= 599:
                     raise
                 if attempt == attempts_allowed:
                     message = f"retries exhausted after {attempts_allowed} attempts: {exc}"
@@ -390,8 +392,6 @@ class CompletionClient:
                     delay,
                 )
                 self.sleep(delay)
-                if unwinding.is_set():
-                    raise
 
     @staticmethod
     def _extract_content(body: str) -> str:
@@ -404,5 +404,5 @@ class CompletionClient:
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"response missing choices[0].message.content: {body[:200]!r}") from exc
         if not isinstance(content, str):
-            raise ProtocolError(f"message content is not text: {content!r}")
+            raise ProtocolError(f"message content is not text: {repr(content)[:200]}")
         return content

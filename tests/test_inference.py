@@ -387,12 +387,13 @@ class TestCompletionClient:
         assert len(transport.calls) == 3
         assert len(sleeps) == 2 and 1.0 <= sleeps[0] <= 1.5 and 2.0 <= sleeps[1] <= 3.0
 
-    @pytest.mark.parametrize("content", [None, 1, ["1"]])
+    @pytest.mark.parametrize("content", [None, 1, ["1"], [{"type": "text", "text": "x" * 10000}]])
     def test_non_text_content_is_protocol_error(self, content):
         body = json.dumps({"choices": [{"message": {"content": content}}]})
         client, transport, sleeps = make_client([(200, body)] * 3, max_retries=2)
         with pytest.raises(ProtocolError, match="^retries exhausted after 3 attempts: .*not text") as excinfo:
             client.complete(REQ)
+        assert len(str(excinfo.value)) < 300  # a long value is cut, as a long body is
         assert isinstance(excinfo.value.__cause__, ProtocolError)
         assert len(transport.calls) == 3
         assert len(sleeps) == 2 and 1.0 <= sleeps[0] <= 1.5 and 2.0 <= sleeps[1] <= 3.0
@@ -613,11 +614,57 @@ class TestCompletionClient:
         exc, calls, seconds = self.unwinding_run((404, "missing"))
         assert type(exc) is TransportError and exc.status == 404
         assert str(exc) == "snippet 's0', emotion joy: endpoint returned HTTP 404"
-        # The worker freed by the 404 may take the next queued request before
-        # the caller starts to unwind; that one too is sent once.
         assert len(calls) == len(set(calls))
-        assert {"prompt #0", "prompt #1"} <= set(calls) <= {"prompt #0", "prompt #1", "prompt #2"}
+        assert set(calls) == {"prompt #0", "prompt #1"}
         assert seconds < 2 * self.HOLD
+
+    def test_no_request_after_a_failure_is_sent(self):
+        # Request 0 is retried twice while request 1 fails for good: request 0
+        # still finishes, and no request after request 1 reaches the endpoint.
+        answers = iter([(503, "busy"), (503, "busy"), (200, ok_body("0"))])
+        calls = []
+        lock = threading.Lock()
+
+        def transport(url, payload, headers, timeout):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                calls.append(prompt)
+            if prompt == "prompt #1":
+                return 404, "missing"
+            if prompt == "prompt #0":
+                time.sleep(0.05)
+                return next(answers)
+            return 200, ok_body(prompt.rsplit("#", 1)[-1])
+
+        client = CompletionClient(
+            EndpointConfig(concurrency_limit=2, max_retries=3), transport=transport, sleep=lambda delay: None
+        )
+        requests = [CompletionRequest(f"s{i}", "joy", f"prompt #{i}") for i in range(20)]
+        with pytest.raises(TransportError) as excinfo:
+            client.complete_all(requests)
+        assert str(excinfo.value) == "snippet 's1', emotion joy: endpoint returned HTTP 404"
+        assert calls.count("prompt #0") == 3
+        assert set(calls) == {"prompt #0", "prompt #1"}
+
+    def test_stopped_request_is_not_sent(self):
+        client, transport, sleeps = make_client([])
+        with pytest.raises(TransportError, match="^stopped before attempt 1 of 4$"):
+            client.complete(REQ, stopped=lambda: True)
+        assert transport.calls == [] and sleeps == []
+
+    def test_stop_during_backoff_ends_the_retries(self):
+        stop = threading.Event()
+        transport = ScriptedTransport([(503, "busy")])
+        client = CompletionClient(EndpointConfig(), transport=transport, sleep=lambda delay: stop.set())
+        with pytest.raises(TransportError, match="^stopped before attempt 2 of 4$"):
+            client.complete(REQ, stopped=stop.is_set)
+
+    def test_stop_before_backoff_raises_the_failure(self):
+        client, transport, sleeps = make_client([(503, "busy")])
+        stopped = iter([False, True])
+        with pytest.raises(TransportError, match="^endpoint returned HTTP 503$"):
+            client.complete(REQ, stopped=lambda: next(stopped))
+        assert len(transport.calls) == 1 and sleeps == []
 
     def test_complete_all_empty(self):
         for mock in (None, IndexMock()):
