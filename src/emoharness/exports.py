@@ -67,17 +67,15 @@ def write_vectors(path: Path, vectors: list) -> None:
     The file is strict UTF-8: an id holding a lone surrogate raises
     ``UnicodeEncodeError``.
 
-    Everything after the escaped id is fixed by the track and the values
-    with their types (``True == 1`` prints apart), so that text is built
-    once per such key.
+    Everything after the escaped id is fixed by the track and the values,
+    so that text is built once per such pair.
     """
     tails = _Memo(lambda k: f'", "track": {_encode_line(k[0])}, "values": {_encode_line(dict(k[1]))}}}\n')
     with path.open("wb") as fh:
         for start in range(0, len(vectors), _BATCH_LINES):
             pieces: list[str] = []
             for v in vectors[start : start + _BATCH_LINES]:
-                values = v.values
-                tail = tails[v.track, tuple(values.items()), tuple(map(type, values.values()))]
+                tail = tails[v.track, tuple(v.values.items())]
                 pieces += ('{"snippet_id": "', _escape(v.snippet_id), tail)
             fh.write("".join(pieces).encode())
 

@@ -79,7 +79,7 @@ STRATEGIES = tuple(_SPLITS)
 RUN_STRATEGIES = ("zero_shot", "few_shot", "marginalise_from_b")
 
 #: ExperimentConfig attributes whose config key has another name.
-_CONFIG_KEYS = {"emotion_set": "emotions", "schema": "columns", "mock_id": "mock"}
+_CONFIG_KEYS = {"schema": "columns", "mock_id": "mock"}
 
 
 def _non_empty_str(value) -> bool:
@@ -134,7 +134,7 @@ class ExperimentConfig:
     seed: int
     output_dir: Path
     dataset: DatasetPaths
-    emotion_set: EmotionSet
+    emotions: tuple[str, ...]  # with language, they give the derived emotion_set
     schema: ColumnSchema
     bm25: Bm25Params
     retrieval: RetrievalConfig
@@ -144,6 +144,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         track, strategy, mock_id = self.track, self.strategy, self.mock_id
+        try:
+            object.__setattr__(self, "emotion_set", EmotionSet(self.language, self.emotions))
+        except ValidationError as exc:
+            raise ConfigError(f"emotions: {exc}") from exc
         if track not in TRACKS:
             raise ConfigError(f"track: expected one of {list(TRACKS)}, got {track!r}")
         if strategy not in STRATEGIES:
@@ -179,8 +183,8 @@ class ExperimentConfig:
 
 def _plain(value):
     """A config value as the YAML scalar, list or mapping it is read from."""
-    if isinstance(value, EmotionSet):
-        return list(value.emotions)
+    if isinstance(value, tuple):
+        return list(value)
     if is_dataclass(value):
         return {key: _plain(item) for key, item in asdict(value).items()}
     return str(value) if isinstance(value, Path) else value
@@ -265,17 +269,13 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     language = _cast(raw.get("language"), "str", "language", required=True)
     relative = _section(DatasetPaths, raw.get("dataset"), "dataset")
 
-    if raw.get("emotions") is not None:
-        emotions_raw = raw["emotions"]
-        if not isinstance(emotions_raw, list) or not emotions_raw:
-            raise ConfigError(f"emotions: expected a non-empty list, got {emotions_raw!r}")
-        emotions = tuple(_cast(e, "str", "emotions") for e in emotions_raw)
-        try:
-            emotion_set = EmotionSet(language, emotions)
-        except ValidationError as exc:
-            raise ConfigError(f"emotions: {exc}") from exc
+    emotions = raw.get("emotions")
+    if emotions is None:
+        emotions = EmotionSet.for_language(language).emotions
+    elif not isinstance(emotions, list) or not emotions:
+        raise ConfigError(f"emotions: expected a non-empty list, got {emotions!r}")
     else:
-        emotion_set = EmotionSet.for_language(language)
+        emotions = tuple(_cast(e, "str", "emotions") for e in emotions)
 
     columns = _mapping(raw.get("columns"), "columns", {f.name for f in fields(ColumnSchema)})
     emotion_columns = _mapping(columns.get("emotions"), "columns.emotions")
@@ -288,7 +288,7 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
         ExperimentConfig, raw, "",
         language=language,
         dataset=DatasetPaths(*(p and base / p for p in astuple(relative))),
-        emotion_set=emotion_set,
+        emotions=emotions,
         schema=_section(ColumnSchema, columns, "columns", emotions=dict(emotion_columns)),
         bm25=_section(Bm25Params, raw.get("bm25"), "bm25"),
         retrieval=_section(RetrievalConfig, raw.get("retrieval"), "retrieval", where="retrieval.k"),

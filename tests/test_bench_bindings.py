@@ -7,24 +7,21 @@ never installed; the traced-run tests below install it in a child process,
 as the benchmark does, and pin the calls it counts on the demo data.
 """
 
-import http.server
 import importlib.util
 import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
-import pytest
 import yaml
 
 import emoharness.exports
 import emoharness.mocks
 import emoharness.retrieval
 import emoharness.runner
+from conftest import keyword
 from emoharness.inference import CompletionClient
-from emoharness.mocks import KeywordMock
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
@@ -48,38 +45,6 @@ def test_traced_bindings_exist():
 
 
 DEMO_DATA = CHILD.parent.parent / "demos" / "data"
-
-
-class _KeywordHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each chat-completions request with the keyword mock's answer."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        answer = KeywordMock().respond(body["messages"][0]["content"])
-        data = json.dumps({"choices": [{"message": {"content": answer}}]}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def endpoint():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _KeywordHandler)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
 
 
 def traced_run(tmp_path, **raw):
@@ -123,9 +88,10 @@ def test_traced_few_shot(tmp_path):
     assert {name: calls.get(name) for name in expected} == expected
 
 
-def test_traced_endpoint_run(tmp_path, endpoint):
+def test_traced_endpoint_run(tmp_path, serve):
+    # The demo texts hold no "#", so the server's ``index`` is the whole prompt.
     dataset = {"test": str(DEMO_DATA / "eng_test.csv")}
-    config = {"base_url": endpoint, "model_name": "m", "concurrency_limit": 2, "max_retries": 0}
+    config = {"base_url": serve(keyword).url, "model_name": "m", "concurrency_limit": 2, "max_retries": 0}
     result = traced_run(tmp_path, strategy="marginalise_from_b", endpoint=config, dataset=dataset)
     calls = result["layers"]["_calls"]
     expected = {"inference.complete": 25, "prompting.render": 25, "inference.complete_all": 1}

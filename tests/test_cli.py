@@ -20,6 +20,7 @@ from datagen import make_snippets, write_csv
 
 #: The checkout's source tree, put on a child interpreter's path.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DEMO_TEST = Path(__file__).resolve().parent.parent / "demos" / "data" / "eng_test.csv"
 
 
 @pytest.fixture
@@ -240,6 +241,24 @@ class TestScoreCommand:
         assert main(["score", str(gold), str(preds), "--language", "eng"]) == 0
         plain = capsys.readouterr().out
         assert main(["score", str(gold), str(bom), "--language", "eng"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_score_marginalise_needs_track_b_predictions(self, workdir, capsys):
+        gold, preds = self.gold_and_predictions(workdir)
+        capsys.readouterr()
+        assert main(["score", str(gold), str(preds), "--language", "eng", "--marginalise"]) == 1
+        assert capsys.readouterr().err == "error: --marginalise needs intensity (track B) predictions\n"
+
+    def test_score_skips_blank_lines(self, workdir, capsys):
+        main(["run", str(run_config(workdir, dataset={"test": str(DEMO_TEST)}))])
+        preds = workdir / "out" / "predictions.jsonl"
+        spaced = workdir / "spaced.jsonl"
+        spaced.write_text("\n" + "\n\n".join(preds.read_text(encoding="utf-8").splitlines()), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", str(DEMO_TEST), str(preds), "--language", "eng"]) == 0
+        plain = capsys.readouterr().out
+        assert "average   0.8000" in plain.splitlines()
+        assert main(["score", str(DEMO_TEST), str(spaced), "--language", "eng"]) == 0
         assert capsys.readouterr().out == plain
 
     def test_score_unwritable_json_out_is_an_error(self, workdir, capsys):

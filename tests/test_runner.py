@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import threading
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -16,6 +17,8 @@ import yaml
 import emoharness.runner
 from emoharness import (
     STRATEGIES,
+    Bm25Params,
+    ColumnSchema,
     CompletionClient,
     ConfigError,
     DatasetPaths,
@@ -23,6 +26,7 @@ from emoharness import (
     EndpointConfig,
     GoldLookupMock,
     PredictionRecord,
+    RetrievalConfig,
     RunStageError,
     Snippet,
     explode,
@@ -32,6 +36,8 @@ from emoharness import (
 )
 from datagen import make_snippets, write_csv
 from emoharness.prompting import extract_query
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def minimal_raw(**overrides):
@@ -414,6 +420,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="YAML"):
             load_config(path)
 
+    def test_readme_example_validates_and_names_every_key(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config format", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = validate_config(yaml.safe_load(block))
+        # The example with its commented-out keys in place, and an endpoint for the mock.
+        named = yaml.safe_load(re.sub(r"^(\s*)# (?=\s*\w+:)", r"\1", block, flags=re.M))
+        with_endpoint = validate_config({key: value for key, value in named.items() if key != "mock"})
+
+        def paths(mapping, prefix=""):
+            """Every key of a nested mapping, as a dotted path."""
+            found = set()
+            for key, value in mapping.items():
+                found.add(prefix + key)
+                if isinstance(value, dict):
+                    found |= paths(value, f"{prefix}{key}.")
+            return found
+
+        for snapshot in (config.snapshot(), with_endpoint.snapshot()):
+            assert paths(snapshot) <= paths(named)
+
 
 def _ebridge_change(language):
     """An E-bridge change of a zero-shot config, as config keys and as fields."""
@@ -441,6 +467,23 @@ INVALID_CHANGES = {
     "ebridge-to-eng": _ebridge_change("eng"),
     "ebridge-language-with-slash": _ebridge_change("de/ch"),
     "ebridge-language-too-long": _ebridge_change("x" * 239),
+    "unknown-emotion": ({"emotions": ["joy", "boredom"]}, {"emotions": ("joy", "boredom")}),
+}
+
+#: One valid change per field of a valid keyword-mock config.
+VALID_CHANGES = {
+    "language": {"language": "deu"},
+    "emotions": {"emotions": ("joy", "fear")},
+    "track": {"track": "B"},
+    "strategy": {"strategy": "marginalise_from_b"},
+    "seed": {"seed": 8},
+    "output_dir": {"output_dir": Path("elsewhere")},
+    "dataset": {"dataset": DatasetPaths(test=Path("other.csv"))},
+    "schema": {"schema": ColumnSchema(id="ID", emotions={"joy": "Joy"})},
+    "bm25": {"bm25": Bm25Params(k1=1.2, b=0.5)},
+    "retrieval": {"retrieval": RetrievalConfig(k=3)},
+    "endpoint-for-mock": {"mock_id": None, "endpoint": EndpointConfig(base_url="http://h/v1", model_name="m")},
+    "oversample": {"oversample": False},
 }
 
 
@@ -459,6 +502,12 @@ class TestConfigInvariants:
             replace(config, **changes)
         assert str(excinfo.value) == str(expected.value)
         assert not Path("out").exists() and not Path("out.partial").exists()
+
+    @pytest.mark.parametrize("changes", VALID_CHANGES.values(), ids=VALID_CHANGES)
+    def test_valid_replace_validates_back_from_its_snapshot(self, changes):
+        config = replace(validate_config(minimal_raw(mock="keyword")), **changes)
+        assert validate_config(config.snapshot()) == config
+        assert config.emotion_set.language_code == config.language
 
     def test_fields_cannot_be_assigned(self):
         config = validate_config(minimal_raw())
@@ -877,6 +926,21 @@ class TestExportStrategies:
         assert plan["stages"][0]["instances"] == 6 * 5
         assert plan["stages"][1]["instances"] == 4 * 6
         assert "plan.json" in manifest.artifacts
+
+    def test_replaced_language_exports_its_own_stage(self, tmp_path):
+        # The English config's five emotions stay; the emotion set follows the new language.
+        data = ROOT / "demos" / "data"
+        raw = minimal_raw(strategy="export_sft", dataset={"train": str(data / "eng_train.csv")})
+        del raw["mock"]
+        raw["output_dir"] = str(tmp_path / "out")
+        config = replace(
+            validate_config(raw),
+            language="deu",
+            strategy="export_ebridge",
+            dataset=DatasetPaths(english_train=data / "eng_train.csv", train=data / "deu_train.csv"),
+        )
+        assert config.emotion_set == EmotionSet("deu", EmotionSet.for_language("eng").emotions)
+        assert "stage2_deu.jsonl" in run(config).artifacts
 
     @pytest.mark.parametrize("strategy", ["export_sft", "export_ebridge"])
     def test_instance_count_is_lines_written(self, tmp_path, strategy):
