@@ -109,7 +109,8 @@ def _finite_number(value) -> bool:
 #: ``from __future__ import annotations``.
 _CHECKS = {
     "str": ("a non-empty string", _non_empty_str, _utf8),
-    "Path": ("a non-empty string without NUL", lambda v: _non_empty_str(v) and "\x00" not in v, Path),
+    "Path": ("a non-empty string without NUL",
+             lambda v: isinstance(v, (str, Path)) and _non_empty_str(str(v)) and "\x00" not in str(v), Path),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
     "float": ("a finite number", _finite_number, float),
     "bool": ("true/false", lambda v: isinstance(v, bool), bool),
@@ -126,7 +127,7 @@ class DatasetPaths:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One (track, language, strategy) experiment; building it, by ``replace`` too, checks its cross-field rules."""
+    """One (track, language, strategy) experiment; building it, by ``replace`` too, checks every field and rule."""
 
     track: str
     language: str
@@ -134,7 +135,7 @@ class ExperimentConfig:
     seed: int
     output_dir: Path
     dataset: DatasetPaths
-    emotions: tuple[str, ...]  # with language, they give the derived emotion_set
+    emotions: tuple[str, ...] | None  # None: the language's set; with language, they give emotion_set
     schema: ColumnSchema
     bm25: Bm25Params
     retrieval: RetrievalConfig
@@ -143,6 +144,18 @@ class ExperimentConfig:
     oversample: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            key, value, type_ = _CONFIG_KEYS.get(f.name, f.name), getattr(self, f.name), f.type.split(" | ")[0]
+            if type_ in _CHECKS:
+                value = _cast(value, f.type, key, required=f.default is MISSING)
+            elif f.name == "emotions":
+                value = EmotionSet.for_language(self.language).emotions if value is None else value
+                if not isinstance(value, (list, tuple)) or not value:
+                    raise ConfigError(f"emotions: expected a non-empty list, got {value!r}")
+                value = tuple(_cast(e, "str", "emotions") for e in value)
+            elif not isinstance(value, globals()[type_]) and (value is not None or type_ == f.type):  # a settings class
+                raise ConfigError(f"{key}: expected {f.type}, got {value!r}")
+            object.__setattr__(self, f.name, value)
         track, strategy, mock_id = self.track, self.strategy, self.mock_id
         try:
             object.__setattr__(self, "emotion_set", EmotionSet(self.language, self.emotions))
@@ -239,15 +252,14 @@ def _section(cls, value, path: str, where: str | None = None, **given):
 
     Field names, or their ``_CONFIG_KEYS`` names, are the allowed keys, each
     field's annotation picks its check, field defaults fill absent keys and a
-    field without one is required; fields in ``given`` are already checked.
+    field without one is required; fields in ``given`` are not cast here.
     Errors from ``cls``'s own range checks are reported under ``where``
     (default: ``path``); the root's checks name their own field.
     """
     keys = {f.name: _CONFIG_KEYS.get(f.name, f.name) for f in fields(cls)}
     section = _mapping(value, path, set(keys.values()))
     for f in fields(cls):
-        key = keys[f.name]
-        required = f.default is MISSING and f.default_factory is MISSING
+        key, required = keys[f.name], f.default is MISSING and f.default_factory is MISSING
         if f.name not in given and (key in section or required):
             given[f.name] = _cast(section.get(key), f.type, f"{path}.{key}" if path else key, required)
     try:
@@ -257,8 +269,8 @@ def _section(cls, value, path: str, where: str | None = None, **given):
 
 
 def validate_config(raw: dict, base_dir: str | Path | None = None) -> ExperimentConfig:
-    """Check and cast every key of ``raw``, fill documented defaults and
-    resolve paths; :class:`ExperimentConfig` checks the rules across fields.
+    """Check the key names, nulls and five sections of ``raw``, fill defaults and resolve
+    relative paths; :class:`ExperimentConfig` checks each top-level field and the cross-field rules.
 
     Unknown keys anywhere are fatal and violations name the offending field
     path, so a typo can never silently change an experiment.
@@ -266,29 +278,17 @@ def validate_config(raw: dict, base_dir: str | Path | None = None) -> Experiment
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected a mapping, got {type(raw).__name__}")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    language = _cast(raw.get("language"), "str", "language", required=True)
     relative = _section(DatasetPaths, raw.get("dataset"), "dataset")
-
-    emotions = raw.get("emotions")
-    if emotions is None:
-        emotions = EmotionSet.for_language(language).emotions
-    elif not isinstance(emotions, list) or not emotions:
-        raise ConfigError(f"emotions: expected a non-empty list, got {emotions!r}")
-    else:
-        emotions = tuple(_cast(e, "str", "emotions") for e in emotions)
-
     columns = _mapping(raw.get("columns"), "columns", {f.name for f in fields(ColumnSchema)})
     emotion_columns = _mapping(columns.get("emotions"), "columns.emotions")
     for key, value in emotion_columns.items():
         if key not in EMOTIONS:
             raise ConfigError(f"columns.emotions.{key}: not a known emotion")
         _cast(value, "str", f"columns.emotions.{key}")
-
     config = _section(
         ExperimentConfig, raw, "",
-        language=language,
         dataset=DatasetPaths(*(p and base / p for p in astuple(relative))),
-        emotions=emotions,
+        emotions=raw.get("emotions"),
         schema=_section(ColumnSchema, columns, "columns", emotions=dict(emotion_columns)),
         bm25=_section(Bm25Params, raw.get("bm25"), "bm25"),
         retrieval=_section(RetrievalConfig, raw.get("retrieval"), "retrieval", where="retrieval.k"),

@@ -1,6 +1,7 @@
 """Seeded random fixture generators shared by the tests."""
 
 import csv
+import math
 import random
 from pathlib import Path
 
@@ -12,6 +13,12 @@ WORDS = [
     "the", "a", "day", "rain", "sun", "exam", "friend", "news", "storm",
     "quiet", "loud", "bright", "dark", "road", "home", "work", "song",
     "letter", "win", "loss", "smile", "tears", "heart", "open", "closed",
+]
+
+#: Values a config key or a prediction field is set to.
+ODD_VALUES = [
+    None, True, False, math.nan, math.inf, 2**70, -1, 0, 1.5,
+    "", "\x00", "a\x00b", "é", "0", [], ["A"], {}, {"k": 1},
 ]
 
 

@@ -11,7 +11,6 @@ import copy
 import csv
 import io
 import json
-import math
 import random
 from pathlib import Path
 
@@ -20,15 +19,9 @@ import yaml
 
 from emoharness import EmotionSet
 from emoharness.cli import main
-from datagen import make_snippets, write_csv
+from datagen import ODD_VALUES, make_snippets, write_csv
 
 ES = EmotionSet.for_language("eng")
-
-#: Values a config key or a prediction field is set to.
-ODD_VALUES = [
-    None, True, False, math.nan, math.inf, 2**70, -1, 0, 1.5,
-    "", "\x00", "a\x00b", "é", "0", [], ["A"], {}, {"k": 1},
-]
 
 #: Config per command; ``retrieve`` reads the ``run`` config.
 CONFIGS = {

@@ -34,7 +34,7 @@ from emoharness import (
     run,
     validate_config,
 )
-from datagen import make_snippets, write_csv
+from datagen import ODD_VALUES, make_snippets, write_csv
 from emoharness.prompting import extract_query
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -470,14 +470,44 @@ INVALID_CHANGES = {
     "unknown-emotion": ({"emotions": ["joy", "boredom"]}, {"emotions": ("joy", "boredom")}),
 }
 
+#: Each change that only code can make, a settings field that does not hold
+#: its class, with the ConfigError it gives.
+WRONG_CLASS_CHANGES = {
+    "bm25-mapping": ({"bm25": {"k1": 1.0}}, "bm25: expected Bm25Params, got {'k1': 1.0}"),
+    "no-dataset": ({"dataset": None}, "dataset: expected DatasetPaths, got None"),
+    "no-schema": ({"schema": None}, "columns: expected ColumnSchema, got None"),
+    "endpoint-url": (
+        {"endpoint": "http://h/v1", "mock_id": None},
+        "endpoint: expected EndpointConfig | None, got 'http://h/v1'",
+    ),
+}
+
+#: Each top-level scalar key and ``emotions``, with its field name.
+ROOT_FIELDS = {
+    "track": "track", "language": "language", "strategy": "strategy", "seed": "seed",
+    "output_dir": "output_dir", "emotions": "emotions", "mock": "mock_id", "oversample": "oversample",
+}
+
+
+def built(build):
+    """What ``build()`` returns, or the message of its ConfigError."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return str(exc)
+
+
 #: One valid change per field of a valid keyword-mock config.
 VALID_CHANGES = {
     "language": {"language": "deu"},
     "emotions": {"emotions": ("joy", "fear")},
+    "emotions-as-list": {"emotions": ["joy"]},
+    "emotions-null": {"emotions": None},
     "track": {"track": "B"},
     "strategy": {"strategy": "marginalise_from_b"},
     "seed": {"seed": 8},
     "output_dir": {"output_dir": Path("elsewhere")},
+    "output_dir-as-str": {"output_dir": "elsewhere"},
     "dataset": {"dataset": DatasetPaths(test=Path("other.csv"))},
     "schema": {"schema": ColumnSchema(id="ID", emotions={"joy": "Joy"})},
     "bm25": {"bm25": Bm25Params(k1=1.2, b=0.5)},
@@ -508,6 +538,31 @@ class TestConfigInvariants:
         config = replace(validate_config(minimal_raw(mock="keyword")), **changes)
         assert validate_config(config.snapshot()) == config
         assert config.emotion_set.language_code == config.language
+
+    @pytest.mark.parametrize("value", ODD_VALUES, ids=repr)
+    @pytest.mark.parametrize("key, field", ROOT_FIELDS.items(), ids=ROOT_FIELDS)
+    def test_replace_has_the_outcome_of_the_file(self, key, field, value):
+        raw = minimal_raw(mock="keyword")
+        from_file = built(lambda: validate_config(dict(raw, **{key: value})))
+        replaced = built(lambda: replace(validate_config(raw), **{field: value}))
+        if key == "language" and not isinstance(from_file, str) and not isinstance(replaced, str):
+            # replace keeps the config's emotions where the file takes the language's set.
+            from_file = replace(from_file, emotions=replaced.emotions)
+        assert from_file == replaced
+
+    @pytest.mark.parametrize("changes, message", WRONG_CLASS_CHANGES.values(), ids=WRONG_CLASS_CHANGES)
+    def test_settings_field_must_hold_its_class(self, tmp_path, monkeypatch, changes, message):
+        monkeypatch.chdir(tmp_path)
+        config = validate_config(minimal_raw(mock="keyword"))
+        with pytest.raises(ConfigError) as excinfo:
+            replace(config, **changes)
+        assert str(excinfo.value) == message
+        assert not any(tmp_path.iterdir())
+
+    def test_null_emotions_are_the_language_set(self):
+        config = validate_config(minimal_raw(language="deu", emotions=["joy"]))
+        assert replace(config, emotions=None) == validate_config(minimal_raw(language="deu", emotions=None))
+        assert replace(config, emotions=None).emotions == EmotionSet.for_language("deu").emotions
 
     def test_fields_cannot_be_assigned(self):
         config = validate_config(minimal_raw())
@@ -580,6 +635,14 @@ class TestRunPipeline:
         second = run(base_config(tmp_path, csv_path, mock="keyword", output_dir="run2"))
         assert first.artifacts == second.artifacts
         assert first.counts == second.counts
+
+    def test_replaced_output_dir_as_str_publishes(self, tmp_path, eng_test_csv):
+        csv_path, _ = eng_test_csv
+        config = replace(base_config(tmp_path, csv_path), output_dir=str(tmp_path / "out2"))
+        assert config.output_dir == tmp_path / "out2"
+        manifest = run(config)
+        assert (tmp_path / "out2" / "manifest.json").is_file()
+        assert "report.json" in manifest.artifacts
 
     def test_manifest_times_every_stage_without_touching_hashes(self, tmp_path):
         es = EmotionSet.for_language("eng")
